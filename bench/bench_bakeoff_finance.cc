@@ -10,7 +10,7 @@
 //   toaster-c — DBToaster's generated C++ (dbtc, compiled into this binary)
 //
 // All four run behind the unified StreamEngine API (the compiled programs
-// through the dbt::StreamProgram string-dispatch shim).
+// through the dbt::StreamProgram batch interface).
 //
 // Expected shape (the paper claims 1–3 orders of magnitude): toaster-c >>
 // toaster-i > ivm1 >> reeval; VWAP is n/a for ivm1 (nested aggregates) and

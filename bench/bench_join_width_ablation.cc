@@ -62,9 +62,9 @@ void RunWidth(int width) {
         StrFormat("A%d", 1 + static_cast<int>(rng.Uniform(width))),
         {Value(rng.Range(0, domain)), Value(rng.Range(0, domain))}));
   }
-  auto measure = [&](auto&& on_event) {
+  auto measure = [&](auto&& apply) {
     double t0 = NowSeconds();
-    for (const Event& ev : probe) on_event(ev);
+    for (const Event& ev : probe) apply(ev);
     return (NowSeconds() - t0) / probe.size() * 1e6;
   };
 

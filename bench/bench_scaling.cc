@@ -41,9 +41,9 @@ void RunAtSize(size_t n) {
         {Value(rng.Range(0, domain)), Value(rng.Range(0, domain))}));
   }
 
-  auto measure = [&](auto&& on_event) {
+  auto measure = [&](auto&& apply) {
     double t0 = NowSeconds();
-    for (const Event& ev : probe) on_event(ev);
+    for (const Event& ev : probe) apply(ev);
     return (NowSeconds() - t0) / static_cast<double>(probe.size()) * 1e6;
   };
 

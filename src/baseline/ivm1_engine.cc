@@ -195,8 +195,9 @@ Status Ivm1Engine::DoOnEvent(const Event& event) {
 
 Status Ivm1Engine::DoApplyBatch(runtime::EventBatch&& batch) {
   for (const runtime::EventBatch::Group& g : batch.groups()) {
-    DBT_RETURN_IF_ERROR(
-        ApplyGroup(g.relation, g.kind, g.rows_view().data(), g.rows));
+    const std::vector<Row> rows = runtime::GroupRows(g);
+    DBT_RETURN_IF_ERROR(ApplyGroup(g.relation, runtime::GroupKind(g),
+                                   rows.data(), rows.size()));
   }
   return Status::OK();
 }

@@ -71,8 +71,8 @@ Status ReevalEngine::DoApplyBatch(runtime::EventBatch&& batch) {
   // All table updates first, then one view refresh for the whole batch:
   // this is exactly the amortization a DBMS gets from transaction batching.
   for (const runtime::EventBatch::Group& g : batch.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) {
-      DBT_RETURN_IF_ERROR(db_.Apply(g.kind, g.relation, g.RowAt(i)));
+    for (const Row& row : runtime::GroupRows(g)) {
+      DBT_RETURN_IF_ERROR(db_.Apply(runtime::GroupKind(g), g.relation, row));
     }
   }
   if (!eager_ || batch.empty()) return Status::OK();

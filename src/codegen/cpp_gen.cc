@@ -2051,15 +2051,16 @@ Status Generator::EmitViews(std::string* out) {
 }
 
 /// Per-relation fused batch handlers: one sign-parameterized entry point
-/// per relation consumes a columnar (relation, op) group directly. When the
-/// group's column layout matches the relation schema the handler scans the
-/// flat typed arrays (no per-event Value unboxing); a layout mismatch falls
-/// back to the row shim. Under a shard plan, large groups are
-/// hash-partitioned on the relation's partition attribute into the fixed
-/// logical shards and replayed on the worker pool; shard isolation (every
-/// store partitioned on the same attribute) makes this equal to the
-/// event-ordered replay, and the fixed shard count makes it identical at
-/// every thread count.
+/// per relation consumes a columnar (relation, op) group directly. Each
+/// column is read as a flat typed lane (dbt::Lane converts a column whose
+/// tag differs from the schema type); a group of the wrong arity is
+/// skipped. Groups of more than one row run the vectorized handler when
+/// there is one, a single row the scalar on_<R>. Under a shard plan, large
+/// groups are hash-partitioned on the relation's partition attribute into
+/// the fixed logical shards and replayed on the worker pool; shard
+/// isolation (every store partitioned on the same attribute) makes this
+/// equal to the event-ordered replay, and the fixed shard count makes it
+/// identical at every thread count.
 Status Generator::EmitBatchHandlers(std::string* out) {
   for (const tir::Trigger& t : tir_.triggers) {
     const std::string& rel = t.relation;
@@ -2087,49 +2088,27 @@ Status Generator::EmitBatchHandlers(std::string* out) {
                             rel.c_str(), lines, kVecEmitLineCap));
       }
     }
-    std::vector<std::string> tags(ncols), fields(ncols), elems(ncols);
-    for (size_t i = 0; i < ncols; ++i) {
-      switch (t.params[i].type) {
-        case Type::kDouble:
-          tags[i] = "kF64";
-          fields[i] = "f64";
-          elems[i] = "double";
-          break;
-        case Type::kString:
-          tags[i] = "kStr";
-          fields[i] = "str";
-          elems[i] = "std::string";
-          break;
-        default:
-          tags[i] = "kI64";
-          fields[i] = "i64";
-          elems[i] = "int64_t";
-          break;
-      }
-    }
     Line(out, StrFormat("size_t on_batch_%s(const dbt::EventBatch::Group& g, "
                         "const int64_t sign) {",
                         rel.c_str()));
     ++indent_;
     // A group is all-insert or all-delete; a missing trigger side skips the
-    // whole group (same events the per-event dispatcher would reject).
+    // whole group.
     if (!t.has_insert) Line(out, "if (sign > 0) return 0;");
     if (!t.has_delete) Line(out, "if (sign < 0) return 0;");
+    Line(out, StrFormat("if (!g.well_formed(%zu)) return 0;", ncols));
     Line(out, "const size_t n = g.rows;");
-    std::string check = StrFormat("g.cols.size() == %zu", ncols);
-    for (size_t i = 0; i < ncols; ++i) {
-      check += StrFormat(" && g.cols[%zu].tag == dbt::EventColumn::Tag::%s",
-                         i, tags[i].c_str());
-    }
-    Line(out, StrFormat("if (%s) {", check.c_str()));
-    ++indent_;
     std::string col_args, vec_args;
     for (size_t i = 0; i < ncols; ++i) {
-      Line(out, StrFormat("const %s* c%zu = g.cols[%zu].%s.data();",
-                          elems[i].c_str(), i, i, fields[i].c_str()));
+      const char* elem = CppType(t.params[i].type);
+      Line(out, StrFormat("std::vector<%s> s%zu; const %s* c%zu = "
+                          "dbt::Lane(g.cols[%zu], &s%zu);",
+                          elem, i, elem, i, i, i));
       col_args += StrFormat("c%zu[i], ", i);
       vec_args += StrFormat("c%zu, ", i);
     }
+    const std::string scalar_call =
+        StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str());
     if (plan_.ok) {
       Line(out, "if (n >= dbt::kShardBatchCutoff) {");
       ++indent_;
@@ -2146,28 +2125,13 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       if (vec) {
         // Selection runs AFTER the shard split, over each shard's
         // sub-range — never re-evaluated per row.
-        Line(out, "if (dbt::SelectionEnabled()) {");
-        ++indent_;
         Line(out, StrFormat("vec_%s(%sshard_idx[shard].data(), "
                             "static_cast<uint32_t>(shard_idx[shard].size()), "
                             "sign);",
                             rel.c_str(), vec_args.c_str()));
-        --indent_;
-        Line(out, "} else {");
-        ++indent_;
-        Line(out, "for (uint32_t i : shard_idx[shard]) {");
-        ++indent_;
-        Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-        --indent_;
-        Line(out, "}");
-        --indent_;
-        Line(out, "}");
       } else {
-        Line(out, "for (uint32_t i : shard_idx[shard]) {");
-        ++indent_;
-        Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-        --indent_;
-        Line(out, "}");
+        Line(out, StrFormat("for (uint32_t i : shard_idx[shard]) %s",
+                            scalar_call.c_str()));
       }
       --indent_;
       Line(out, "});");
@@ -2176,7 +2140,7 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       Line(out, "}");
     }
     if (vec) {
-      Line(out, "if (dbt::SelectionEnabled() && n > 1) {");
+      Line(out, "if (n > 1) {");
       ++indent_;
       Line(out, StrFormat("vec_%s(%snullptr, static_cast<uint32_t>(n), "
                           "sign);",
@@ -2185,36 +2149,8 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       --indent_;
       Line(out, "}");
     }
-    Line(out, "for (size_t i = 0; i < n; ++i) {");
-    ++indent_;
-    Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), col_args.c_str()));
-    --indent_;
-    Line(out, "}");
-    Line(out, "return n;");
-    --indent_;
-    Line(out, "}");
-    // Row shim fallback (column tags diverged from the schema, e.g. a feed
-    // that mixed value types within one column).
-    std::string row_args;
-    for (size_t i = 0; i < ncols; ++i) {
-      switch (t.params[i].type) {
-        case Type::kDouble:
-          row_args += StrFormat("dbt::AsDouble(r[%zu]), ", i);
-          break;
-        case Type::kString:
-          row_args += StrFormat("dbt::AsString(r[%zu]), ", i);
-          break;
-        default:
-          row_args += StrFormat("dbt::AsInt(r[%zu]), ", i);
-          break;
-      }
-    }
-    Line(out, "for (size_t i = 0; i < n; ++i) {");
-    ++indent_;
-    Line(out, "const std::vector<dbt::Value> r = g.row(i);");
-    Line(out, StrFormat("on_%s(%ssign);", rel.c_str(), row_args.c_str()));
-    --indent_;
-    Line(out, "}");
+    Line(out, StrFormat("for (size_t i = 0; i < n; ++i) %s",
+                        scalar_call.c_str()));
     Line(out, "return n;");
     --indent_;
     Line(out, "}");
@@ -2223,40 +2159,6 @@ Status Generator::EmitBatchHandlers(std::string* out) {
 }
 
 Status Generator::EmitDispatcher(std::string* out) {
-  Line(out,
-       "bool on_event(const std::string& relation, bool is_insert, const "
-       "std::vector<dbt::Value>& t) override {");
-  ++indent_;
-  for (const tir::Trigger& trig : tir_.triggers) {
-    Line(out, StrFormat("if (relation == \"%s\") {", trig.relation.c_str()));
-    ++indent_;
-    if (!trig.has_insert) Line(out, "if (is_insert) return false;");
-    if (!trig.has_delete) Line(out, "if (!is_insert) return false;");
-    std::vector<std::string> conv;
-    for (size_t i = 0; i < trig.params.size(); ++i) {
-      switch (trig.params[i].type) {
-        case Type::kDouble:
-          conv.push_back(StrFormat("dbt::AsDouble(t[%zu])", i));
-          break;
-        case Type::kString:
-          conv.push_back(StrFormat("dbt::AsString(t[%zu])", i));
-          break;
-        default:
-          conv.push_back(StrFormat("dbt::AsInt(t[%zu])", i));
-          break;
-      }
-    }
-    conv.push_back("is_insert ? INT64_C(1) : INT64_C(-1)");
-    Line(out, StrFormat("on_%s(%s);", trig.relation.c_str(),
-                        Join(conv, ", ").c_str()));
-    Line(out, "return true;");
-    --indent_;
-    Line(out, "}");
-  }
-  Line(out, "return false;");
-  --indent_;
-  Line(out, "}");
-
   // Group-wise batch dispatch: one relation comparison per (relation, op)
   // group, then the fused columnar handler — no conversion pass.
   Line(out, "size_t on_batch(const dbt::EventBatch& batch) override {");

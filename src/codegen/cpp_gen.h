@@ -4,8 +4,9 @@
 //
 // The emitted source is self-contained (depends only on
 // dbtoaster_runtime.h) and exposes:
-//   * typed event handlers  on_insert_<REL>(...) / on_delete_<REL>(...)
-//   * a dynamic dispatcher  on_event(relation, is_insert, tuple)
+//   * typed event handlers  on_<REL>(..., sign), +1 insert / -1 delete
+//   * batch dispatch        on_batch(const dbt::EventBatch&), one
+//                           on_batch_<REL> columnar handler per relation
 //   * view accessors        view_<name>() returning materialised rows
 // so it can run standalone or be embedded in application logic (§2's two
 // modes; ahead-of-time compilation stands in for the LLVM JIT).

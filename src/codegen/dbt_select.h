@@ -16,14 +16,13 @@
 // scalar kernel so generated selection prologues never run a per-row
 // std::string comparison loop inline.
 //
-// Generated programs consult SelectionEnabled() to pick between the
-// group-vectorized path (selection prologue + statement-major phases) and
-// the scalar row-at-a-time path; both produce byte-identical state
-// (tests/shard_test.cc pins it).
+// Generated batch handlers run every group of more than one row through
+// the vectorized path (selection prologue + statement-major phases) and a
+// single row through the scalar on_<R> handler; both produce byte-identical
+// state (tests/differential_test.cc pins it).
 #ifndef DBTOASTER_CODEGEN_DBT_SELECT_H_
 #define DBTOASTER_CODEGEN_DBT_SELECT_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -32,20 +31,6 @@
 namespace dbt {
 
 enum class SelOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
-
-/// Process-wide toggle for the generated selection prologue (default on).
-/// Off = generated batch handlers replay rows through the scalar handler;
-/// the interpreted engine's mirror honors the same flag.
-inline std::atomic<bool>& SelectionFlag() {
-  static std::atomic<bool> flag{true};
-  return flag;
-}
-inline bool SelectionEnabled() {
-  return SelectionFlag().load(std::memory_order_relaxed);
-}
-inline void SetSelectionEnabled(bool on) {
-  SelectionFlag().store(on, std::memory_order_relaxed);
-}
 
 namespace sel_detail {
 

@@ -22,8 +22,8 @@
 
 namespace dbt {
 
-/// Dynamic value used only at the string-dispatch boundary; the generated
-/// handler bodies are fully typed.
+/// Dynamic value at the program's untyped edges (batch columns, view rows);
+/// the generated handler bodies are fully typed.
 using Value = std::variant<int64_t, double, std::string>;
 
 inline int64_t AsInt(const Value& v) {
@@ -355,31 +355,67 @@ class ExtremeMap {
   FlatMap<K, Group, TupleHash> data_;
 };
 
-/// One typed column of a batch group. The tag is fixed by the first tuple
-/// appended (dates travel as int64 days, matching the engine's value
-/// model), and later tuples are coerced onto it, so a group's storage is
-/// three flat arrays at most — the layout generated on_batch_<R> handlers
-/// scan directly.
+/// One typed column of a batch group: the storage every engine ingests,
+/// and the flat arrays generated on_batch_<R> handlers scan. The first
+/// value fixes the lane (dates travel as int64 days). An int64 lane widens
+/// to f64 when a double arrives, and later ints join an f64 lane as
+/// doubles, so no number in a DOUBLE column is truncated; widening is exact
+/// for integers below 2^53. Strings and numbers never share a column: a
+/// value of the other kind sets `conflict` and stores a placeholder (0 or
+/// "") that keeps the column aligned, and the runtime's ingest boundary
+/// rejects the batch as a type error.
 struct EventColumn {
   enum class Tag : uint8_t { kI64 = 0, kF64 = 1, kStr = 2 };
 
   Tag tag = Tag::kI64;
+  bool conflict = false;
   std::vector<int64_t> i64;
   std::vector<double> f64;
   std::vector<std::string> str;
 
-  static Tag TagOf(const Value& v) {
-    if (std::holds_alternative<double>(v)) return Tag::kF64;
-    if (std::holds_alternative<std::string>(v)) return Tag::kStr;
-    return Tag::kI64;
+  size_t size() const {
+    switch (tag) {
+      case Tag::kF64: return f64.size();
+      case Tag::kStr: return str.size();
+      default: return i64.size();
+    }
   }
 
-  void push(const Value& v) {
+  void push(int64_t v) {
     switch (tag) {
-      case Tag::kI64: i64.push_back(AsInt(v)); break;
-      case Tag::kF64: f64.push_back(AsDouble(v)); break;
-      case Tag::kStr: str.push_back(AsString(v)); break;
+      case Tag::kI64: i64.push_back(v); break;
+      case Tag::kF64: f64.push_back(static_cast<double>(v)); break;
+      case Tag::kStr:
+        conflict = true;
+        str.emplace_back();
+        break;
     }
+  }
+  void push(double v) {
+    if (tag == Tag::kI64) {
+      f64.reserve(i64.size() + 1);
+      for (int64_t x : i64) f64.push_back(static_cast<double>(x));
+      i64.clear();
+      tag = Tag::kF64;
+    }
+    if (tag == Tag::kF64) {
+      f64.push_back(v);
+    } else {
+      conflict = true;
+      str.emplace_back();
+    }
+  }
+  void push(std::string v) {
+    if (tag != Tag::kStr && size() == 0) tag = Tag::kStr;
+    if (tag == Tag::kStr) {
+      str.push_back(std::move(v));
+    } else {
+      conflict = true;
+      push(int64_t{0});
+    }
+  }
+  void push(const Value& v) {
+    std::visit([this](const auto& x) { push(x); }, v);
   }
 
   Value get(size_t i) const {
@@ -391,11 +427,38 @@ struct EventColumn {
   }
 };
 
-/// One batch of deltas at the dynamic boundary, grouped per (relation, op)
-/// in first-encounter order with columnar per-group storage. Mirrors
-/// runtime::EventBatch without depending on it (this header stays
-/// self-contained). The row-oriented add()/row() shim is the compatibility
-/// surface; generated handlers consume the columns natively.
+/// The lane of type T a generated handler reads for one column: the
+/// column's own array when its tag already holds T, otherwise `scratch`
+/// filled with every value converted by AsInt / AsDouble / AsString (the
+/// conversions a scalar on_<R> call applies to a dynamic value).
+template <typename T>
+const T* Lane(const EventColumn& col, std::vector<T>* scratch) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    if (col.tag == EventColumn::Tag::kI64) return col.i64.data();
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (col.tag == EventColumn::Tag::kF64) return col.f64.data();
+  } else {
+    if (col.tag == EventColumn::Tag::kStr) return col.str.data();
+  }
+  const size_t n = col.size();
+  scratch->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Value v = col.get(i);
+    if constexpr (std::is_same_v<T, int64_t>) {
+      scratch->push_back(AsInt(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      scratch->push_back(AsDouble(v));
+    } else {
+      scratch->push_back(AsString(v));
+    }
+  }
+  return scratch->data();
+}
+
+/// One batch of deltas, grouped per (relation, op) in first-encounter
+/// order with columnar per-group storage. This is the one batch type: the
+/// runtime's EventBatch builds these groups, the interpreted engines read
+/// them, and generated on_batch handlers consume them directly.
 class EventBatch {
  public:
   struct Group {
@@ -404,44 +467,64 @@ class EventBatch {
     std::vector<EventColumn> cols;
     size_t rows = 0;
 
-    void add(const std::vector<Value>& tuple) {
-      if (cols.size() < tuple.size()) {
-        cols.resize(tuple.size());
-        for (size_t c = 0; c < tuple.size(); ++c) {
-          if (cols[c].i64.empty() && cols[c].f64.empty() &&
-              cols[c].str.empty()) {
-            cols[c].tag = EventColumn::TagOf(tuple[c]);
-          }
-        }
+    /// Append one tuple of `arity` values; `push(col, c)` appends value c
+    /// to `col`. Columns past the tuple's arity get 0, and a tuple wider
+    /// than the group opens columns back-filled with 0, so every column
+    /// always holds `rows` values.
+    template <typename Push>
+    void add_with(size_t arity, Push&& push) {
+      if (cols.size() < arity) {
+        const size_t old = cols.size();
+        cols.resize(arity);
+        for (size_t c = old; c < arity; ++c) cols[c].i64.assign(rows, 0);
       }
       for (size_t c = 0; c < cols.size(); ++c) {
-        cols[c].push(c < tuple.size() ? tuple[c] : Value(int64_t{0}));
+        if (c < arity) {
+          push(cols[c], c);
+        } else {
+          cols[c].push(int64_t{0});
+        }
       }
       ++rows;
     }
 
-    std::vector<Value> row(size_t i) const {
-      std::vector<Value> out;
-      out.reserve(cols.size());
-      for (const EventColumn& c : cols) out.push_back(c.get(i));
-      return out;
+    /// True when the group has `arity` columns of `rows` values each — the
+    /// precondition a generated handler checks before reading lanes.
+    bool well_formed(size_t arity) const {
+      if (cols.size() != arity) return false;
+      for (const EventColumn& c : cols) {
+        if (c.size() != rows) return false;
+      }
+      return true;
     }
   };
 
   void add(const std::string& relation, bool is_insert,
            const std::vector<Value>& tuple) {
-    find_group(relation, is_insert).add(tuple);
+    add_with(relation, is_insert, tuple.size(),
+             [&](EventColumn& col, size_t c) { col.push(tuple[c]); });
+  }
+
+  /// add() for callers with their own value type (see Group::add_with).
+  template <typename Push>
+  void add_with(const std::string& relation, bool is_insert, size_t arity,
+                Push&& push) {
+    find_group(relation, is_insert).add_with(arity, push);
     ++events_;
   }
 
-  /// Append a pre-built columnar group (the zero-conversion ingest path);
-  /// merges into an existing (relation, op) group if one exists.
+  /// Append a whole decoded group (batch-log replay); a group whose
+  /// (relation, op) is already present merges into it value by value.
   void add_group(Group&& g) {
     events_ += g.rows;
     for (Group& existing : groups_) {
       if (existing.is_insert == g.is_insert &&
           existing.relation == g.relation) {
-        for (size_t i = 0; i < g.rows; ++i) existing.add(g.row(i));
+        for (size_t i = 0; i < g.rows; ++i) {
+          existing.add_with(g.cols.size(), [&](EventColumn& col, size_t c) {
+            col.push(g.cols[c].get(i));
+          });
+        }
         return;
       }
     }
@@ -492,30 +575,18 @@ struct ViewRows {
 };
 
 /// Abstract driver interface implemented by every dbtc-generated program:
-/// the string-dispatch shim that makes generated code drivable through the
-/// same engine-agnostic surface as the interpreted engines (see
-/// runtime::CompiledProgramEngine). The typed per-relation handlers remain
-/// the fast path for embedded use.
+/// the dynamic surface that makes generated code drivable through the same
+/// engine-agnostic interface as the interpreted engines (see
+/// runtime::CompiledProgramEngine). The typed per-relation on_<R> handlers
+/// remain the entry points for embedded use.
 class StreamProgram {
  public:
   virtual ~StreamProgram() = default;
 
-  /// Dispatch one delta; false when the program has no trigger for it.
-  virtual bool on_event(const std::string& relation, bool is_insert,
-                        const std::vector<Value>& tuple) = 0;
-
-  /// Dispatch one batch group-wise; returns the number of events handled.
-  /// Generated programs override with fused per-relation batch handlers
-  /// (one relation dispatch and one tuple conversion pass per group).
-  virtual size_t on_batch(const EventBatch& batch) {
-    size_t handled = 0;
-    for (const auto& g : batch.groups()) {
-      for (size_t i = 0; i < g.rows; ++i) {
-        if (on_event(g.relation, g.is_insert, g.row(i))) ++handled;
-      }
-    }
-    return handled;
-  }
+  /// Apply one batch group by group, in group order; returns the number of
+  /// events handled. Groups of relations the program has no trigger for,
+  /// and groups whose arity does not match the relation, are skipped.
+  virtual size_t on_batch(const EventBatch& batch) = 0;
 
   /// Registered view names, in declaration order.
   virtual std::vector<std::string> view_names() const = 0;

@@ -15,7 +15,7 @@ void SerializeBatch(const EventBatch& batch, dbt::Ser* out) {
   out->u64(batch.groups().size());
   for (const EventBatch::Group& g : batch.groups()) {
     out->str(g.relation);
-    out->u8(g.kind == EventKind::kInsert ? 0 : 1);
+    out->u8(g.is_insert ? 0 : 1);
     out->u64(g.rows);
     out->u64(g.cols.size());
     for (const EventColumn& c : g.cols) {
@@ -42,19 +42,20 @@ Status DeserializeBatch(dbt::Deser* in, EventBatch* out) {
     return Status::ParseError("batch: corrupt group count");
   }
   for (uint64_t gi = 0; gi < ngroups; ++gi) {
-    const std::string relation = in->str();
+    // Decode the typed lanes straight into a group; groups are unique per
+    // (relation, op) in a serialized batch, so this rebuilds it exactly.
+    EventBatch::Group g;
+    g.relation = in->str();
     const uint8_t kind_tag = in->u8();
     const uint64_t rows = in->u64();
     const uint64_t ncols = in->u64();
     if (!in->ok() || kind_tag > 1 || ncols > in->remaining()) {
       return Status::ParseError("batch: corrupt group header");
     }
-    const EventKind kind =
-        kind_tag == 0 ? EventKind::kInsert : EventKind::kDelete;
-    // Decode typed lanes, then re-add row-wise: groups are unique per
-    // (relation, op), so Add() reassembles the identical batch.
-    std::vector<EventColumn> cols(static_cast<size_t>(ncols));
-    for (EventColumn& c : cols) {
+    g.is_insert = kind_tag == 0;
+    g.rows = static_cast<size_t>(rows);
+    g.cols.resize(static_cast<size_t>(ncols));
+    for (EventColumn& c : g.cols) {
       const uint8_t tag = in->u8();
       if (!in->ok() || tag > 2) {
         return Status::ParseError("batch: corrupt column tag");
@@ -83,14 +84,7 @@ Status DeserializeBatch(dbt::Deser* in, EventBatch* out) {
       }
       if (!in->ok()) return Status::ParseError("batch: truncated lane");
     }
-    for (uint64_t i = 0; i < rows; ++i) {
-      Row row;
-      row.reserve(cols.size());
-      for (const EventColumn& c : cols) {
-        row.push_back(c.Get(static_cast<size_t>(i)));
-      }
-      out->Add(kind, relation, std::move(row));
-    }
+    if (g.rows > 0) out->add_group(std::move(g));
   }
   return Status::OK();
 }
@@ -147,6 +141,10 @@ Status BatchLogWriter::Append(uint64_t epoch, const EventBatch& batch) {
             ? "batch log: writer failed; Sync() to confirm rollback first"
             : "batch log: writer failed and rollback failed; reopen the log");
   }
+  // A column that mixed strings and numbers serializes its placeholders as
+  // real values; logging it would let replay apply a batch that live ingest
+  // rejects. An empty validator checks exactly that.
+  DBT_RETURN_IF_ERROR(IngestValidator().ValidateBatch(batch));
   dbt::Ser payload;
   payload.u64(epoch);
   SerializeBatch(batch, &payload);

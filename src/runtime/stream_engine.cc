@@ -31,26 +31,39 @@ EventBatch EventBatch::Of(const Event& event) {
   return batch;
 }
 
-void EventBatch::Add(EventKind kind, const std::string& relation, Row tuple) {
-  // Streams run long (relation, op) bursts; check the most recent group
-  // first, then fall back to a scan (the group count is bounded by
-  // 2 * #relations).
-  if (!groups_.empty() && groups_.back().kind == kind &&
-      groups_.back().relation == relation) {
-    groups_.back().Add(tuple);
-    ++events_;
-    return;
-  }
-  for (Group& g : groups_) {
-    if (g.kind == kind && g.relation == relation) {
-      g.Add(tuple);
-      ++events_;
-      return;
+void EventBatch::Add(EventKind kind, const std::string& relation,
+                     const Row& tuple) {
+  add_with(relation, kind == EventKind::kInsert, tuple.size(),
+           [&](EventColumn& col, size_t c) {
+             const Value& v = tuple[c];
+             if (v.is_string()) {
+               col.push(v.AsString());
+             } else if (v.is_double()) {
+               col.push(v.AsDouble());
+             } else {
+               col.push(v.AsInt());
+             }
+           });
+}
+
+Row GroupRow(const EventBatch::Group& g, size_t i) {
+  Row out;
+  out.reserve(g.cols.size());
+  for (const EventColumn& c : g.cols) {
+    switch (c.tag) {
+      case EventColumn::Tag::kF64: out.emplace_back(c.f64[i]); break;
+      case EventColumn::Tag::kStr: out.emplace_back(c.str[i]); break;
+      default: out.emplace_back(c.i64[i]); break;
     }
   }
-  groups_.emplace_back(relation, kind);
-  groups_.back().Add(tuple);
-  ++events_;
+  return out;
+}
+
+std::vector<Row> GroupRows(const EventBatch::Group& g) {
+  std::vector<Row> out;
+  out.reserve(g.rows);
+  for (size_t i = 0; i < g.rows; ++i) out.push_back(GroupRow(g, i));
+  return out;
 }
 
 // ---- dynamic value serde ------------------------------------------------
@@ -118,6 +131,11 @@ EventColumn::Tag TagOfType(Type t) {
   }
 }
 
+EventColumn::Tag TagOfValue(const Value& v) {
+  if (v.is_string()) return EventColumn::Tag::kStr;
+  return v.is_double() ? EventColumn::Tag::kF64 : EventColumn::Tag::kI64;
+}
+
 /// String lanes and numeric lanes never mix; the two numeric lanes do
 /// (dates and widened ints legally feed double columns via promotion).
 bool LaneCompatible(EventColumn::Tag want, EventColumn::Tag got) {
@@ -152,9 +170,17 @@ const std::vector<EventColumn::Tag>* IngestValidator::Find(
 }
 
 Status IngestValidator::ValidateBatch(const EventBatch& batch) const {
-  if (schemas_.empty()) return Status::OK();
   for (const EventBatch::Group& g : batch.groups()) {
     if (g.rows == 0) continue;
+    for (size_t c = 0; c < g.cols.size(); ++c) {
+      if (g.cols[c].conflict) {
+        return Status::TypeError(StrFormat(
+            "ingest: relation '%s' column %zu mixes string and numeric "
+            "values within one batch",
+            g.relation.c_str(), c));
+      }
+    }
+    if (schemas_.empty()) continue;
     const std::vector<EventColumn::Tag>* lanes = Find(g.relation);
     if (lanes == nullptr) {
       return Status::NotFound(
@@ -192,7 +218,7 @@ Status IngestValidator::ValidateEvent(const Event& event) const {
         event.relation.c_str(), lanes->size(), event.tuple.size()));
   }
   for (size_t c = 0; c < event.tuple.size(); ++c) {
-    const EventColumn::Tag got = EventColumn::TagOf(event.tuple[c]);
+    const EventColumn::Tag got = TagOfValue(event.tuple[c]);
     if (!LaneCompatible((*lanes)[c], got)) {
       return Status::TypeError(StrFormat(
           "ingest: relation '%s' column %zu expects %s lane, event "
@@ -488,24 +514,23 @@ void UpsertNormalizer::DeclareKey(const std::string& relation,
 
 EventBatch UpsertNormalizer::Normalize(EventBatch&& batch) {
   EventBatch out;
-  for (EventBatch::Group& g : batch.groups()) {
+  for (const EventBatch::Group& g : batch.groups()) {
+    const EventKind kind = GroupKind(g);
+    std::vector<Row> rows = GroupRows(g);
     auto it = keyed_.find(ToUpper(g.relation));
     if (it == keyed_.end()) {
-      for (size_t i = 0; i < g.rows; ++i) {
-        out.Add(g.kind, g.relation, g.RowAt(i));
-      }
+      for (const Row& row : rows) out.Add(kind, g.relation, row);
       continue;
     }
     KeyedRelation& kr = it->second;
-    for (size_t i = 0; i < g.rows; ++i) {
-      Row row = g.RowAt(i);
+    for (Row& row : rows) {
       Row key;
       key.reserve(kr.key_cols.size());
       for (size_t c : kr.key_cols) {
         key.push_back(c < row.size() ? row[c] : Value(int64_t{0}));
       }
       auto cur = kr.current.find(key);
-      if (g.kind == EventKind::kInsert) {
+      if (kind == EventKind::kInsert) {
         if (cur != kr.current.end()) {
           if (RowEq{}(cur->second, row)) continue;  // duplicate insert
           out.AddDelete(g.relation, cur->second);   // upsert: replace
@@ -513,13 +538,13 @@ EventBatch UpsertNormalizer::Normalize(EventBatch&& batch) {
         } else {
           kr.current.emplace(std::move(key), row);
         }
-        out.AddInsert(g.relation, std::move(row));
+        out.AddInsert(g.relation, row);
       } else {
         // Deletes must name the live row; late/duplicated/reordered
         // deletes (unknown key or stale image) are dropped.
         if (cur == kr.current.end() || !RowEq{}(cur->second, row)) continue;
         kr.current.erase(cur);
-        out.AddDelete(g.relation, std::move(row));
+        out.AddDelete(g.relation, row);
       }
     }
   }
@@ -583,22 +608,6 @@ size_t UpsertNormalizer::live_rows(const std::string& relation) const {
 
 namespace {
 
-/// Convert a storage row to the generated-code value vector.
-std::vector<dbt::Value> ToDbtValues(const Row& row) {
-  std::vector<dbt::Value> out;
-  out.reserve(row.size());
-  for (const Value& v : row) {
-    if (v.is_string()) {
-      out.emplace_back(v.AsString());
-    } else if (v.is_double()) {
-      out.emplace_back(v.AsDouble());
-    } else {
-      out.emplace_back(v.AsInt());
-    }
-  }
-  return out;
-}
-
 Value FromDbtValue(const dbt::Value& v) {
   if (std::holds_alternative<std::string>(v)) {
     return Value(std::get<std::string>(v));
@@ -607,28 +616,17 @@ Value FromDbtValue(const dbt::Value& v) {
   return Value(std::get<int64_t>(v));
 }
 
-EventColumn::Tag FromDbtTag(dbt::EventColumn::Tag t) {
-  switch (t) {
-    case dbt::EventColumn::Tag::kF64: return EventColumn::Tag::kF64;
-    case dbt::EventColumn::Tag::kStr: return EventColumn::Tag::kStr;
-    default: return EventColumn::Tag::kI64;
-  }
-}
-
 }  // namespace
 
 CompiledProgramEngine::CompiledProgramEngine(dbt::StreamProgram* program,
-                                             std::string name, BatchPath path)
-    : program_(program), name_(std::move(name)), path_(path) {
+                                             std::string name)
+    : program_(program), name_(std::move(name)) {
   // Generated programs publish the catalog's relation layouts; arm the
   // boundary validator with them so malformed batches are rejected before
   // the typed handlers. Programs predating schema emission publish none
   // and keep the permissive boundary.
-  for (const dbt::RelationSchema& rs : program_->relation_schemas()) {
-    std::vector<EventColumn::Tag> lanes;
-    lanes.reserve(rs.lanes.size());
-    for (dbt::EventColumn::Tag t : rs.lanes) lanes.push_back(FromDbtTag(t));
-    RegisterIngestSchema(rs.name, std::move(lanes));
+  for (dbt::RelationSchema& rs : program_->relation_schemas()) {
+    RegisterIngestSchema(rs.name, std::move(rs.lanes));
   }
 }
 
@@ -637,53 +635,7 @@ size_t CompiledProgramEngine::StateBytes() const {
 }
 
 Status CompiledProgramEngine::DoApplyBatch(EventBatch&& batch) {
-  if (path_ == BatchPath::kRow) {
-    // Reference path: per-event string dispatch through the row shim,
-    // exercised by the differential harness and the row-vs-columnar bench.
-    for (const EventBatch::Group& g : batch.groups()) {
-      for (size_t i = 0; i < g.rows; ++i) {
-        program_->on_event(g.relation, g.kind == EventKind::kInsert,
-                           ToDbtValues(g.RowAt(i)));
-      }
-    }
-    return Status::OK();
-  }
-  // Columnar path: the typed column storage moves across the boundary
-  // unchanged (tags align by construction), no per-row Value conversion.
-  dbt::EventBatch out;
-  for (EventBatch::Group& g : batch.groups()) {
-    dbt::EventBatch::Group og;
-    og.relation = g.relation;
-    og.is_insert = g.kind == EventKind::kInsert;
-    og.rows = g.rows;
-    og.cols.resize(g.cols.size());
-    for (size_t c = 0; c < g.cols.size(); ++c) {
-      EventColumn& in = g.cols[c];
-      dbt::EventColumn& col = og.cols[c];
-      switch (in.tag) {
-        case EventColumn::Tag::kI64:
-          col.tag = dbt::EventColumn::Tag::kI64;
-          col.i64 = std::move(in.i64);
-          break;
-        case EventColumn::Tag::kF64:
-          col.tag = dbt::EventColumn::Tag::kF64;
-          col.f64 = std::move(in.f64);
-          break;
-        case EventColumn::Tag::kStr:
-          col.tag = dbt::EventColumn::Tag::kStr;
-          col.str = std::move(in.str);
-          break;
-      }
-    }
-    out.add_group(std::move(og));
-  }
-  program_->on_batch(out);
-  return Status::OK();
-}
-
-Status CompiledProgramEngine::DoOnEvent(const Event& event) {
-  program_->on_event(event.relation, event.kind == EventKind::kInsert,
-                     ToDbtValues(event.tuple));
+  program_->on_batch(batch);
   return Status::OK();
 }
 

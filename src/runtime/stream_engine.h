@@ -38,13 +38,10 @@
 #include "src/codegen/dbt_flat_map.h"
 #include "src/codegen/dbt_serialize.h"
 #include "src/codegen/dbt_shard_pool.h"
+#include "src/codegen/dbtoaster_runtime.h"
 #include "src/common/status.h"
 #include "src/exec/executor.h"
 #include "src/storage/table.h"
-
-namespace dbt {
-class StreamProgram;  // src/codegen/dbtoaster_runtime.h (self-contained)
-}  // namespace dbt
 
 namespace dbtoaster::runtime {
 
@@ -68,128 +65,47 @@ struct ShardPlan {
                              const std::vector<size_t>& partition_cols);
 };
 
-/// One typed column of a batch group: int64 (also carrying dates as days
-/// since epoch), double, or string, fixed by the first appended value and
-/// coerced thereafter. Mirrors dbt::EventColumn so the compiled path can
-/// move column storage across the boundary without touching rows.
-struct EventColumn {
-  enum class Tag : uint8_t { kI64 = 0, kF64 = 1, kStr = 2 };
+/// One typed column of a batch group (see dbt::EventColumn: the first value
+/// fixes the lane, ints widen to doubles, string/number mixes are flagged).
+using EventColumn = dbt::EventColumn;
 
-  Tag tag = Tag::kI64;
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<std::string> str;
-
-  static Tag TagOf(const Value& v) {
-    if (v.is_double()) return Tag::kF64;
-    if (v.is_string()) return Tag::kStr;
-    return Tag::kI64;
-  }
-
-  void Push(const Value& v) {
-    switch (tag) {
-      case Tag::kI64: i64.push_back(v.AsInt()); break;
-      case Tag::kF64: f64.push_back(v.AsDouble()); break;
-      case Tag::kStr: str.push_back(v.AsString()); break;
-    }
-  }
-
-  Value Get(size_t i) const {
-    switch (tag) {
-      case Tag::kF64: return Value(f64[i]);
-      case Tag::kStr: return Value(str[i]);
-      default: return Value(i64[i]);
-    }
-  }
-};
-
-/// One batch of deltas, grouped per (relation, op) with per-group typed
-/// column storage: the columnar unit all engines ingest. Groups keep
-/// first-encounter order. Interpreted engines that want whole tuples use
-/// the rows() shim, which materializes (and caches) the row view.
-class EventBatch {
+/// One batch of deltas, grouped per (relation, op) in first-encounter order
+/// with typed per-group columns: dbt::EventBatch with the runtime's
+/// Row-based builder on top. CompiledProgramEngine hands it to the
+/// generated program as is; interpreted engines read each group's tuples
+/// through GroupRows.
+class EventBatch : public dbt::EventBatch {
  public:
-  struct Group {
-    std::string relation;
-    EventKind kind = EventKind::kInsert;
-    std::vector<EventColumn> cols;
-    size_t rows = 0;
-
-    Group() = default;
-    Group(std::string rel, EventKind k)
-        : relation(std::move(rel)), kind(k) {}
-
-    /// Append one tuple, splitting it across the typed columns.
-    void Add(const Row& tuple) {
-      if (cols.size() < tuple.size()) {
-        const size_t old = cols.size();
-        cols.resize(tuple.size());
-        for (size_t c = old; c < tuple.size(); ++c) {
-          cols[c].tag = EventColumn::TagOf(tuple[c]);
-        }
-      }
-      for (size_t c = 0; c < cols.size(); ++c) {
-        cols[c].Push(c < tuple.size() ? tuple[c] : Value(int64_t{0}));
-      }
-      ++rows;
-      row_cache_.clear();
-    }
-
-    /// Reassemble tuple `i` from the columns.
-    Row RowAt(size_t i) const {
-      Row out;
-      out.reserve(cols.size());
-      for (const EventColumn& c : cols) out.push_back(c.Get(i));
-      return out;
-    }
-
-    /// Row-shim view of the whole group, materialized on first use and
-    /// cached (engines call it once per group, on the driver thread).
-    const std::vector<Row>& rows_view() const {
-      if (row_cache_.size() != rows) {
-        row_cache_.clear();
-        row_cache_.reserve(rows);
-        for (size_t i = 0; i < rows; ++i) row_cache_.push_back(RowAt(i));
-      }
-      return row_cache_;
-    }
-
-   private:
-    mutable std::vector<Row> row_cache_;
-  };
-
-  EventBatch() = default;
+  using Group = dbt::EventBatch::Group;
 
   /// A one-element batch (the OnEvent convenience path).
   static EventBatch Of(const Event& event);
 
   /// Append one delta, coalescing into an existing (relation, op) group.
-  void Add(EventKind kind, const std::string& relation, Row tuple);
-  void Add(Event event) {
-    Add(event.kind, event.relation, std::move(event.tuple));
+  void Add(EventKind kind, const std::string& relation, const Row& tuple);
+  void Add(const Event& event) {
+    Add(event.kind, event.relation, event.tuple);
   }
-  void AddInsert(const std::string& relation, Row tuple) {
-    Add(EventKind::kInsert, relation, std::move(tuple));
+  void AddInsert(const std::string& relation, const Row& tuple) {
+    Add(EventKind::kInsert, relation, tuple);
   }
-  void AddDelete(const std::string& relation, Row tuple) {
-    Add(EventKind::kDelete, relation, std::move(tuple));
-  }
-
-  const std::vector<Group>& groups() const { return groups_; }
-  std::vector<Group>& groups() { return groups_; }
-
-  /// Total number of events across groups.
-  size_t size() const { return events_; }
-  bool empty() const { return events_ == 0; }
-  void Clear() {
-    groups_.clear();
-    events_ = 0;
+  void AddDelete(const std::string& relation, const Row& tuple) {
+    Add(EventKind::kDelete, relation, tuple);
   }
 
- private:
-  std::vector<Group> groups_;
-  size_t events_ = 0;
+  void Clear() { clear(); }
 };
+
+inline EventKind GroupKind(const EventBatch::Group& g) {
+  return g.is_insert ? EventKind::kInsert : EventKind::kDelete;
+}
+
+/// Tuple `i` of a group as a Row.
+Row GroupRow(const EventBatch::Group& g, size_t i);
+
+/// Every tuple of a group as Rows: the one place interpreted engines
+/// materialize a group, once per group.
+std::vector<Row> GroupRows(const EventBatch::Group& g);
 
 // ---- dynamic value serde (shared by checkpoints, the batch log and the
 // ---- upsert adapter) ---------------------------------------------------
@@ -213,8 +129,11 @@ bool ReadRow(dbt::Deser& in, Row* row);
 ///                                     -> kTypeError
 /// Numeric lanes are interchangeable (kI64 carries dates and widened ints;
 /// engines promote), so only string/numeric confusion — the one shape the
-/// typed handlers cannot absorb — is a type error. A validator with no
-/// registered schemas passes everything through (opt-in hardening).
+/// typed handlers cannot absorb — is a type error. A column that mixed
+/// strings and numbers while the batch was built (EventColumn::conflict) is
+/// a kTypeError whether or not schemas are registered; beyond that, a
+/// validator with no registered schemas passes everything through (opt-in
+/// hardening).
 class IngestValidator {
  public:
   void Register(const std::string& relation,
@@ -365,8 +284,8 @@ class StreamEngine {
   /// Ingest one batch of deltas (see the file comment for semantics).
   Status ApplyBatch(EventBatch&& batch);
 
-  /// One-element convenience; engines may override DoOnEvent with a leaner
-  /// path than the one-element-batch default.
+  /// One-element convenience: a batch of one unless the engine overrides
+  /// DoOnEvent with a leaner path.
   Status OnEvent(const Event& event);
 
   Status OnInsert(const std::string& relation, Row tuple) {
@@ -517,23 +436,16 @@ class UpsertNormalizer {
 };
 
 /// Drives a dbtc-generated program (any dbt::StreamProgram) through the
-/// same interface as the interpreted engines, via the generated program's
-/// string-dispatch shim. The program's published relation schemas (when
-/// present) arm the boundary validator, so malformed batches are rejected
-/// before they reach the typed handlers; relations the program knows but
-/// has no trigger for remain counted no-ops, matching the generated
-/// dispatcher's behaviour.
+/// same interface as the interpreted engines: every batch goes to the
+/// program's on_batch unchanged. The program's published relation schemas
+/// (when present) arm the boundary validator, so malformed batches are
+/// rejected before they reach the typed handlers; relations the program
+/// knows but has no trigger for remain counted no-ops, matching the
+/// generated dispatcher's behaviour.
 class CompiledProgramEngine final : public StreamEngine {
  public:
-  /// How batches cross the boundary into the generated program.
-  enum class BatchPath {
-    kColumnar,  ///< move typed columns straight into dbt::EventBatch groups
-    kRow,       ///< replay through the per-event row shim (reference path)
-  };
-
   explicit CompiledProgramEngine(dbt::StreamProgram* program,
-                                 std::string name = "toaster-c",
-                                 BatchPath path = BatchPath::kColumnar);
+                                 std::string name = "toaster-c");
 
   std::string Name() const override { return name_; }
   Result<exec::QueryResult> View(const std::string& name) override;
@@ -547,7 +459,6 @@ class CompiledProgramEngine final : public StreamEngine {
 
  protected:
   Status DoApplyBatch(EventBatch&& batch) override;
-  Status DoOnEvent(const Event& event) override;
 
   /// Snapshot publishing goes through the generated program's one-pass
   /// publish_snapshot hook instead of per-view string dispatch.
@@ -557,7 +468,6 @@ class CompiledProgramEngine final : public StreamEngine {
  private:
   dbt::StreamProgram* program_;
   std::string name_;
-  BatchPath path_;
 };
 
 }  // namespace dbtoaster::runtime

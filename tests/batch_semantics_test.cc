@@ -6,10 +6,13 @@
 // init-on-access maps.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/gen/q6s.hpp"
 #include "src/baseline/ivm1_engine.h"
 #include "src/baseline/reeval_engine.h"
 #include "src/catalog/catalog.h"
@@ -197,7 +200,7 @@ TEST(BatchSemantics, ExtremeMapSurvivesReorderedInBatchDelete) {
   }
   // Grouping puts both deletes before the insert.
   ASSERT_EQ(batch.groups().size(), 2u);
-  ASSERT_EQ(batch.groups()[0].kind, EventKind::kDelete);
+  ASSERT_FALSE(batch.groups()[0].is_insert);
   ASSERT_TRUE(batched.ApplyBatch(std::move(batch)).ok());
 
   auto got = batched.View("q");
@@ -276,6 +279,99 @@ TEST(BatchSemantics, BaselinesMatchOwnReplayAndEachOther) {
   }
 }
 
+/// One engine under test; `program` backs toaster-c.
+struct Instance {
+  std::unique_ptr<dbt::StreamProgram> program;
+  std::unique_ptr<StreamEngine> engine;
+};
+
+Instance MakeInstance(const std::string& kind, const Catalog& cat,
+                      const std::string& sql) {
+  Instance out;
+  if (kind == "toaster-i") {
+    auto program = compiler::CompileQuery(cat, "q", sql);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    out.engine = std::make_unique<runtime::Engine>(std::move(program).value());
+  } else if (kind == "ivm1") {
+    auto e = std::make_unique<baseline::Ivm1Engine>(cat);
+    EXPECT_TRUE(e->AddQuery("q", sql).ok());
+    out.engine = std::move(e);
+  } else if (kind == "reeval") {
+    auto e = std::make_unique<baseline::ReevalEngine>(cat);
+    EXPECT_TRUE(e->AddQuery("q", sql).ok());
+    out.engine = std::move(e);
+  } else {
+    // The only generated program linked here is q6s (its view is q0).
+    out.program = std::make_unique<dbtoaster_gen::q6s_Program>();
+    out.engine =
+        std::make_unique<runtime::CompiledProgramEngine>(out.program.get());
+  }
+  return out;
+}
+
+/// The canonical view after one ApplyBatch of `events` on a fresh engine,
+/// and after replaying them one OnEvent at a time on another.
+std::pair<std::string, std::string> BatchedAndReplayed(
+    const std::string& kind, const Catalog& cat, const std::string& sql,
+    const std::vector<Event>& events) {
+  const std::string view = kind == "toaster-c" ? "q0" : "q";
+  Instance batched = MakeInstance(kind, cat, sql);
+  Instance replayed = MakeInstance(kind, cat, sql);
+  EventBatch batch;
+  for (const Event& ev : events) {
+    batch.Add(ev);
+    EXPECT_TRUE(replayed.engine->OnEvent(ev).ok()) << kind;
+  }
+  EXPECT_TRUE(batched.engine->ApplyBatch(std::move(batch)).ok()) << kind;
+  auto got = batched.engine->View(view);
+  auto want = replayed.engine->View(view);
+  EXPECT_TRUE(got.ok() && want.ok()) << kind;
+  if (!got.ok() || !want.ok()) return {};
+  return {Canon(got.value()), Canon(want.value())};
+}
+
+// A DOUBLE column whose first value in a batch is an int literal keeps the
+// doubles that follow it: the batch's column widens to f64 instead of
+// truncating them, so one ApplyBatch equals per-event replay on every
+// engine class.
+TEST(BatchSemantics, IntThenDoubleInOneColumnMatchesPerEventReplay) {
+  {
+    Catalog cat = MakeCatalog("create table R(A int, P double);");
+    const std::string sql = "select A, sum(P) from R group by A";
+    const std::vector<Event> events = {
+        Event::Insert("R", {Value(1), Value(1)}),
+        Event::Insert("R", {Value(1), Value(2.5)})};
+    for (const char* kind : {"toaster-i", "ivm1", "reeval"}) {
+      auto [batched, replayed] = BatchedAndReplayed(kind, cat, sql, events);
+      EXPECT_EQ(replayed, "(1,3.5)") << kind;
+      EXPECT_EQ(batched, replayed) << kind;
+    }
+  }
+  // The same shape through a generated program: q6s's EXTENDEDPRICE is a
+  // DOUBLE column, first fed an int literal.
+  std::ifstream f(std::string(DBT_QUERY_DIR) + "/q6s.sql");
+  std::stringstream text;
+  text << f.rdbuf();
+  auto script = sql::ParseScript(text.str());
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  Catalog cat;
+  for (const auto& t : script.value().tables) {
+    ASSERT_TRUE(cat.AddRelation(t).ok());
+  }
+  const std::string sql = script.value().queries[0].select->ToString();
+  const int64_t day = CivilToDays(1994, 3, 1);
+  const std::vector<Event> events = {
+      Event::Insert("LINEITEM",
+                    {Value(1), Value(5), Value(1), Value(0.06), Value(day)}),
+      Event::Insert("LINEITEM",
+                    {Value(2), Value(5), Value(2.5), Value(0.06), Value(day)})};
+  for (const char* kind : {"toaster-i", "ivm1", "reeval", "toaster-c"}) {
+    auto [batched, replayed] = BatchedAndReplayed(kind, cat, sql, events);
+    EXPECT_EQ(replayed, "(0.21)") << kind;
+    EXPECT_EQ(batched, replayed) << kind;
+  }
+}
+
 TEST(EventBatch, GroupsByRelationAndOpInFirstEncounterOrder) {
   EventBatch b;
   b.AddInsert("R", {Value(1)});
@@ -285,20 +381,20 @@ TEST(EventBatch, GroupsByRelationAndOpInFirstEncounterOrder) {
   EXPECT_EQ(b.size(), 4u);
   ASSERT_EQ(b.groups().size(), 3u);
   EXPECT_EQ(b.groups()[0].relation, "R");
-  EXPECT_EQ(b.groups()[0].kind, EventKind::kInsert);
+  EXPECT_TRUE(b.groups()[0].is_insert);
   EXPECT_EQ(b.groups()[0].rows, 2u);
   EXPECT_EQ(b.groups()[1].relation, "S");
-  EXPECT_EQ(b.groups()[1].kind, EventKind::kDelete);
+  EXPECT_FALSE(b.groups()[1].is_insert);
   EXPECT_EQ(b.groups()[2].relation, "S");
-  EXPECT_EQ(b.groups()[2].kind, EventKind::kInsert);
+  EXPECT_TRUE(b.groups()[2].is_insert);
   b.Clear();
   EXPECT_TRUE(b.empty());
 }
 
-// Round-trip property over the columnar layout on both sides of the
-// boundary: random mixed-type tuples pushed through Group::Add/add must
-// reassemble exactly via RowAt/row, with column tags fixed by the first
-// tuple (later tuples coerce onto the column's type, never retag it).
+// Round-trip property over the one columnar layout, through both builders:
+// random typed tuples pushed through runtime::EventBatch::Add and
+// dbt::EventBatch::add must reassemble exactly via GroupRow / get, with
+// column tags fixed by the first tuple.
 TEST(EventBatch, ColumnarRoundTripPreservesRandomTypedTuples) {
   Rng rng(0xc01u);
   for (int trial = 0; trial < 50; ++trial) {
@@ -316,8 +412,8 @@ TEST(EventBatch, ColumnarRoundTripPreservesRandomTypedTuples) {
       }
     };
 
-    runtime::EventBatch::Group rgroup("R", EventKind::kInsert);
-    dbt::EventBatch::Group dgroup;
+    EventBatch rbatch;
+    dbt::EventBatch dbatch;
     std::vector<Row> want;
     const size_t n = 1 + rng.Uniform(40);
     for (size_t i = 0; i < n; ++i) {
@@ -334,52 +430,101 @@ TEST(EventBatch, ColumnarRoundTripPreservesRandomTypedTuples) {
         }
         tuple.push_back(std::move(v));
       }
-      rgroup.Add(tuple);
-      dgroup.add(dtuple);
+      rbatch.AddInsert("R", tuple);
+      dbatch.add("R", true, dtuple);
       want.push_back(std::move(tuple));
     }
 
+    ASSERT_EQ(rbatch.groups().size(), 1u);
+    ASSERT_EQ(dbatch.groups().size(), 1u);
+    const EventBatch::Group& rgroup = rbatch.groups()[0];
+    const dbt::EventBatch::Group& dgroup = dbatch.groups()[0];
     ASSERT_EQ(rgroup.rows, n);
     ASSERT_EQ(dgroup.rows, n);
-    ASSERT_EQ(rgroup.cols.size(), width);
+    ASSERT_TRUE(rgroup.well_formed(width));
+    ASSERT_TRUE(dgroup.well_formed(width));
     for (size_t c = 0; c < width; ++c) {
       // Tag fixed by the first tuple; dates share the int64 lane.
-      const auto expect_tag = kinds[c] == 1 ? runtime::EventColumn::Tag::kF64
-                              : kinds[c] == 2
-                                  ? runtime::EventColumn::Tag::kStr
-                                  : runtime::EventColumn::Tag::kI64;
+      const auto expect_tag = kinds[c] == 1   ? dbt::EventColumn::Tag::kF64
+                              : kinds[c] == 2 ? dbt::EventColumn::Tag::kStr
+                                              : dbt::EventColumn::Tag::kI64;
       EXPECT_EQ(rgroup.cols[c].tag, expect_tag) << "trial " << trial;
+      EXPECT_EQ(dgroup.cols[c].tag, expect_tag) << "trial " << trial;
+      EXPECT_FALSE(rgroup.cols[c].conflict);
     }
+    const std::vector<Row> rows = runtime::GroupRows(rgroup);
+    ASSERT_EQ(rows.size(), n);
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(rgroup.RowAt(i), want[i]) << "trial " << trial << " row " << i;
-      const std::vector<dbt::Value> dback = dgroup.row(i);
-      ASSERT_EQ(dback.size(), width);
+      EXPECT_EQ(runtime::GroupRow(rgroup, i), want[i])
+          << "trial " << trial << " row " << i;
+      EXPECT_EQ(rows[i], want[i]) << "trial " << trial << " row " << i;
       for (size_t c = 0; c < width; ++c) {
+        const dbt::Value got = dgroup.cols[c].get(i);
         if (want[i][c].is_string()) {
-          EXPECT_EQ(dbt::AsString(dback[c]), want[i][c].AsString());
-        } else if (rgroup.cols[c].tag == runtime::EventColumn::Tag::kF64) {
-          EXPECT_EQ(dbt::AsDouble(dback[c]), want[i][c].AsDouble());
+          EXPECT_EQ(dbt::AsString(got), want[i][c].AsString());
+        } else if (dgroup.cols[c].tag == dbt::EventColumn::Tag::kF64) {
+          EXPECT_EQ(dbt::AsDouble(got), want[i][c].AsDouble());
         } else {
-          EXPECT_EQ(dbt::AsInt(dback[c]), want[i][c].AsInt());
+          EXPECT_EQ(dbt::AsInt(got), want[i][c].AsInt());
         }
       }
     }
-    // The cached row-shim view equals element-wise reassembly.
-    const std::vector<Row>& view = rgroup.rows_view();
-    ASSERT_EQ(view.size(), n);
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(view[i], want[i]);
   }
 }
 
-// The dbt-side boundary: a hand-written StreamProgram sees the default
-// on_batch dispatch exactly once per event, group-ordered.
-TEST(DbtStreamProgram, DefaultOnBatchDispatchesGroupwise) {
+// The column rules behind batch ingestion: an i64 lane widens to f64 when a
+// double arrives (no truncation), strings and numbers never mix (the column
+// records the conflict and stays aligned instead of converting or
+// throwing), and a tuple wider than its group back-fills the new column.
+TEST(EventBatch, ColumnsWidenIntsAndFlagStringNumberMixes) {
+  dbt::EventColumn widened;
+  widened.push(int64_t{1});
+  widened.push(2.5);
+  widened.push(int64_t{3});
+  EXPECT_EQ(widened.tag, dbt::EventColumn::Tag::kF64);
+  EXPECT_EQ(widened.f64, (std::vector<double>{1.0, 2.5, 3.0}));
+  EXPECT_TRUE(widened.i64.empty());
+  EXPECT_FALSE(widened.conflict);
+
+  dbt::EventColumn str_first;
+  str_first.push(std::string("a"));
+  str_first.push(int64_t{7});
+  EXPECT_EQ(str_first.tag, dbt::EventColumn::Tag::kStr);
+  EXPECT_TRUE(str_first.conflict);
+  EXPECT_EQ(str_first.size(), 2u);
+
+  dbt::EventColumn num_first;
+  num_first.push(1.5);
+  num_first.push(std::string("b"));
+  EXPECT_EQ(num_first.tag, dbt::EventColumn::Tag::kF64);
+  EXPECT_TRUE(num_first.conflict);
+  EXPECT_EQ(num_first.size(), 2u);
+
+  EventBatch ragged;
+  ragged.AddInsert("R", {Value(1)});
+  ragged.AddInsert("R", {Value(2), Value("x")});
+  const EventBatch::Group& g = ragged.groups()[0];
+  ASSERT_TRUE(g.well_formed(2));
+  EXPECT_EQ(runtime::GroupRow(g, 0), (Row{Value(1), Value(0)}));
+  EXPECT_TRUE(g.cols[1].conflict);  // 0 back-fill, then a string
+}
+
+// A hand-written StreamProgram receives every batch whole through
+// on_batch: groups in first-encounter order, and OnEvent through the
+// runtime engine arrives as a batch of one.
+TEST(DbtStreamProgram, OnBatchReceivesGroupwiseBatches) {
   struct Recorder : dbt::StreamProgram {
     std::vector<std::string> log;
-    bool on_event(const std::string& relation, bool is_insert,
-                  const std::vector<dbt::Value>& /*tuple*/) override {
-      log.push_back((is_insert ? "+" : "-") + relation);
-      return relation != "IGNORED";
+    size_t on_batch(const dbt::EventBatch& batch) override {
+      size_t handled = 0;
+      for (const auto& g : batch.groups()) {
+        for (size_t i = 0; i < g.rows; ++i) {
+          log.push_back((g.is_insert ? "+" : "-") + g.relation);
+        }
+        if (g.relation != "IGNORED") handled += g.rows;
+      }
+      log.push_back("|");
+      return handled;
     }
     std::vector<std::string> view_names() const override { return {}; }
     std::vector<std::string> view_column_names(
@@ -403,17 +548,51 @@ TEST(DbtStreamProgram, DefaultOnBatchDispatchesGroupwise) {
   EXPECT_EQ(batch.size(), 4u);
   EXPECT_EQ(rec.on_batch(batch), 3u);
   EXPECT_EQ(rec.log,
-            (std::vector<std::string>{"+R", "+R", "+IGNORED", "-R"}));
+            (std::vector<std::string>{"+R", "+R", "+IGNORED", "-R", "|"}));
 
-  // The runtime-side shim drives the same program through StreamEngine.
-  runtime::CompiledProgramEngine shim(&rec, "mock");
-  EXPECT_EQ(shim.Name(), "mock");
-  EXPECT_TRUE(shim.OnInsert("R", {Value(5)}).ok());
-  EXPECT_EQ(rec.log.back(), "+R");
-  EXPECT_EQ(shim.View("nope").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(shim.StateBytes(), 0u);
+  // The runtime engine drives the same program through StreamEngine.
+  rec.log.clear();
+  runtime::CompiledProgramEngine engine(&rec, "mock");
+  EXPECT_EQ(engine.Name(), "mock");
+  EXPECT_TRUE(engine.OnInsert("R", {Value(5)}).ok());
+  EXPECT_EQ(rec.log, (std::vector<std::string>{"+R", "|"}));
+  EventBatch two;
+  two.AddDelete("R", {Value(5)});
+  two.AddInsert("S", {Value(6)});
+  EXPECT_TRUE(engine.ApplyBatch(std::move(two)).ok());
+  EXPECT_EQ(rec.log, (std::vector<std::string>{"+R", "|", "-R", "+S", "|"}));
+  EXPECT_EQ(engine.epoch(), 2u);
+  EXPECT_EQ(engine.View("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine.StateBytes(), 0u);
 }
 
+// A direct embedded caller of a generated on_batch: a column whose lane
+// differs from the schema type is converted exactly as the scalar on_<R>
+// arguments would be, and a group of the wrong arity is skipped (0 events
+// handled) rather than read out of bounds.
+TEST(DbtStreamProgram, GeneratedOnBatchConvertsLanesAndSkipsWrongArity) {
+  const int64_t day = CivilToDays(1994, 3, 1);
+  dbtoaster_gen::q6s_Program typed, converted;
+  typed.on_LINEITEM(1, 5, 20.0, 0.06, day, 1);
+  typed.on_LINEITEM(2, 5, 30.0, 0.05, day, 1);
+
+  // EXTENDEDPRICE (DOUBLE) arrives as ints, SHIPDATE (DATE) as doubles.
+  dbt::EventBatch batch;
+  batch.add("LINEITEM", true,
+            {int64_t{1}, int64_t{5}, int64_t{20}, 0.06,
+             static_cast<double>(day)});
+  batch.add("LINEITEM", true,
+            {int64_t{2}, int64_t{5}, int64_t{30}, 0.05,
+             static_cast<double>(day)});
+  EXPECT_EQ(converted.on_batch(batch), 2u);
+  EXPECT_EQ(converted.view_rows("q0"), typed.view_rows("q0"));
+
+  dbt::EventBatch short_rows;
+  short_rows.add("LINEITEM", true, {int64_t{1}, int64_t{5}});
+  short_rows.add("LINEITEM", true, {int64_t{2}, int64_t{5}});
+  EXPECT_EQ(converted.on_batch(short_rows), 0u);
+  EXPECT_EQ(converted.view_rows("q0"), typed.view_rows("q0"));
+}
 
 // ---------------------------------------------------------------------------
 // NULL/empty-group semantics at the HAVING / LEFT JOIN boundary: a group

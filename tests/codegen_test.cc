@@ -99,7 +99,7 @@ std::string RunCommand(const std::string& cmd, int* exit_code) {
 }
 
 /// Generic standalone harness: reads events from stdin ("I|D <REL> <v>..."),
-/// dispatches them, prints every view's rows sorted at EOF.
+/// applies each as a batch of one, prints every view's rows sorted at EOF.
 const char kHarness[] = R"cpp(
 #include <algorithm>
 #include <iostream>
@@ -139,7 +139,9 @@ int main() {
     std::vector<dbt::Value> tuple;
     int64_t v;
     while (is >> v) tuple.emplace_back(v);
-    p.on_event(rel, op == "I", tuple);
+    dbt::EventBatch batch;
+    batch.add(rel, op == "I", tuple);
+    p.on_batch(batch);
   }
   PrintRows(p.view_q0());
   return 0;

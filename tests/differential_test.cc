@@ -8,10 +8,11 @@
 // dbt::kShardBatchCutoff so both the sequential and the sharded ApplyBatch
 // paths are exercised.
 //
-// For bench queries the generated program runs twice: once through the
-// native columnar batch path and once through the per-event row shim
-// (toaster-c-row), and the two views must match byte for byte — same code,
-// same arrival order, so not even float tolerance applies.
+// For bench queries the generated program runs twice: once fed whole
+// batches (columnar groups through the vectorized handlers) and once fed
+// each batch's events one at a time in group order (toaster-c-per-event,
+// through the scalar on_<R> handlers). The two views must match byte for
+// byte — same arrival order, so not even float tolerance applies.
 //
 // Engines that reject a query (ivm1 on LEFT JOIN, for example) are excluded
 // for that query — but only with an explicit kNotSupported status, logged
@@ -149,9 +150,9 @@ void ExpectSameView(const exec::QueryResult& want,
   }
 }
 
-/// Exact comparison for the row-shim vs columnar replay of the *same*
-/// generated program: both process the same events in the same order with
-/// the same code, so the views must match without any float tolerance.
+/// Exact comparison for the per-event vs batched replay of the *same*
+/// generated program: both process the same events in the same order, so
+/// the views must match without any float tolerance.
 void ExpectIdenticalView(const exec::QueryResult& want,
                          const exec::QueryResult& got,
                          const std::string& label) {
@@ -175,6 +176,7 @@ struct EngineUnderTest {
   std::unique_ptr<StreamEngine> engine;
   std::string view;  ///< this engine's registered view name
   std::unique_ptr<dbt::StreamProgram> program;  ///< toaster-c backing object
+  bool per_event = false;  ///< fed each event as a batch of one
 };
 
 void RunDifferential(const Catalog& catalog, const std::string& sql,
@@ -216,8 +218,9 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
                   st.ToString().c_str());
     }
   }
-  // Index of the columnar toaster-c engine, when a generated program runs.
-  size_t columnar_at = 0, row_shim_at = 0;
+  // Index of the batched and per-event toaster-c engines, when a generated
+  // program runs.
+  size_t batched_at = 0, per_event_at = 0;
   if (!generated_name.empty()) {
     std::unique_ptr<dbt::StreamProgram> program =
         MakeGenerated(generated_name);
@@ -227,28 +230,29 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
     e.engine = std::make_unique<runtime::CompiledProgramEngine>(program.get());
     e.view = "q0";  // dbtc scripts auto-name their first query q0
     e.program = std::move(program);
-    columnar_at = engines.size();
+    batched_at = engines.size();
     engines.push_back(std::move(e));
 
-    // The same generated program again, but every batch crosses the
-    // boundary through the per-event row shim instead of the columnar
-    // fast path. Identical code and arrival order, so the two views must
-    // agree exactly (see ExpectIdenticalView below).
-    std::unique_ptr<dbt::StreamProgram> row_program =
+    // The same generated program again, fed every event as a batch of one
+    // in group order: single-row groups take the scalar on_<R> handler
+    // where whole batches take the vectorized and sharded ones. Identical
+    // arrival order, so the two views must agree exactly (see
+    // ExpectIdenticalView below).
+    std::unique_ptr<dbt::StreamProgram> single_program =
         MakeGenerated(generated_name);
     EngineUnderTest r;
-    r.name = "toaster-c-row";
+    r.name = "toaster-c-per-event";
     r.engine = std::make_unique<runtime::CompiledProgramEngine>(
-        row_program.get(), "toaster-c-row",
-        runtime::CompiledProgramEngine::BatchPath::kRow);
+        single_program.get(), r.name);
     r.view = "q0";
-    r.program = std::move(row_program);
-    row_shim_at = engines.size();
+    r.program = std::move(single_program);
+    r.per_event = true;
+    per_event_at = engines.size();
     engines.push_back(std::move(r));
   }
   // Even with ivm1 out, every bench case still cross-checks four ways
-  // (toaster-i, reeval, toaster-c, toaster-c-row) and every micro case at
-  // least two (toaster-i vs reeval).
+  // (toaster-i, reeval, toaster-c, toaster-c-per-event) and every micro
+  // case at least two (toaster-i vs reeval).
   const size_t min_engines = generated_name.empty() ? 2u : 4u;
   ASSERT_GE(engines.size(), min_engines)
       << label << (ivm1_excluded ? " (ivm1 excluded)" : "");
@@ -287,6 +291,17 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
       }
     }
     for (size_t e = 0; e < engines.size(); ++e) {
+      if (engines[e].per_event) {
+        for (const EventBatch::Group& g : batches[e].groups()) {
+          for (Row& row : runtime::GroupRows(g)) {
+            Status st = engines[e].engine->OnEvent(
+                Event{runtime::GroupKind(g), g.relation, std::move(row)});
+            ASSERT_TRUE(st.ok()) << label << " " << engines[e].name << ": "
+                                 << st.ToString();
+          }
+        }
+        continue;
+      }
       Status st = engines[e].engine->ApplyBatch(std::move(batches[e]));
       ASSERT_TRUE(st.ok()) << label << " " << engines[e].name << ": "
                            << st.ToString();
@@ -306,11 +321,11 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
     }
 
     if (!generated_name.empty()) {
-      auto cv = engines[columnar_at].engine->View("q0");
-      auto rv = engines[row_shim_at].engine->View("q0");
-      ASSERT_TRUE(cv.ok() && rv.ok()) << label;
-      ExpectIdenticalView(cv.value(), rv.value(),
-                          label + ": toaster-c columnar vs row shim after "
+      auto bv = engines[batched_at].engine->View("q0");
+      auto pv = engines[per_event_at].engine->View("q0");
+      ASSERT_TRUE(bv.ok() && pv.ok()) << label;
+      ExpectIdenticalView(bv.value(), pv.value(),
+                          label + ": toaster-c batched vs per-event after "
                           "batch " + std::to_string(b));
     }
   }
@@ -353,8 +368,8 @@ TEST_P(BenchQueryDifferential, AllEnginesAgreeOnSeededStreams) {
 
 // selzero/selhalf/selall pin the selectivity extremes of the selection
 // prologue: guards passing 0%, ~50% (date range), and 100% of the seeded
-// rows (IN-list and comparison kernels), each replayed through columnar,
-// row-shim, and interpreted paths with byte-identical views.
+// rows (IN-list and comparison kernels), each replayed through batched,
+// per-event, and interpreted paths with byte-identical compiled views.
 INSTANTIATE_TEST_SUITE_P(AllBenchQueries, BenchQueryDifferential,
                          ::testing::Values("vwap", "sobi_bids", "mm",
                                            "best_bid", "q41", "revenue",

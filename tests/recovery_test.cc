@@ -224,16 +224,6 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
   return batches;
 }
 
-/// Copy of a batch (EventBatch is move-ingested; tests replay the same
-/// stream into several engines).
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
-}
-
 /// One engine instance of a given class for a bench query; the generated
 /// program (when any) is owned alongside the engine.
 struct EngineInstance {
@@ -382,6 +372,33 @@ TEST(StateSerde, ExtremeMapDebtSurvivesRoundTrip) {
   EXPECT_EQ(v, 9);
 }
 
+// The batch-log frame payload is an on-disk format: the same clean batch
+// must keep serializing to exactly these bytes, or existing logs stop
+// replaying.
+TEST(StateSerde, SerializedBatchBytesArePinned) {
+  EventBatch b;
+  b.AddInsert("R", {Value(int64_t{1}), Value(2.5), Value("x")});
+  b.AddInsert("R", {Value(int64_t{-2}), Value(0.5), Value("yz")});
+  b.AddDelete("R", {Value(int64_t{1}), Value(2.5), Value("x")});
+  b.AddInsert("S", {Value(int64_t{9})});
+  dbt::Ser s;
+  runtime::SerializeBatch(b, &s);
+  std::string hex;
+  for (unsigned char c : s.data()) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", c);
+    hex += buf;
+  }
+  const std::string want =
+      "0300000000000000010000000000000052000200000000000000030000000000"
+      "0000000100000000000000feffffffffffffff01000000000000044000000000"
+      "0000e03f020100000000000000780200000000000000797a0100000000000000"
+      "5201010000000000000003000000000000000001000000000000000100000000"
+      "0000044002010000000000000078010000000000000053000100000000000000"
+      "0100000000000000000900000000000000";
+  EXPECT_EQ(hex, want);
+}
+
 TEST(StateSerde, BatchSerdeRoundTrip) {
   EventBatch b;
   b.AddInsert("R", {Value(int64_t{1}), Value(2.5), Value("x")});
@@ -402,11 +419,9 @@ TEST(StateSerde, BatchSerdeRoundTrip) {
     const EventBatch::Group& want = b.groups()[g];
     const EventBatch::Group& got = back.groups()[g];
     EXPECT_EQ(got.relation, want.relation);
-    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.is_insert, want.is_insert);
     ASSERT_EQ(got.rows, want.rows);
-    for (size_t i = 0; i < want.rows; ++i) {
-      EXPECT_TRUE(got.RowAt(i) == want.RowAt(i));
-    }
+    EXPECT_TRUE(runtime::GroupRows(got) == runtime::GroupRows(want));
   }
 }
 
@@ -478,6 +493,41 @@ TEST(IngestValidation, LaneTypeMismatchIsTypeErrorWithColumn) {
   EXPECT_TRUE(ok.ok()) << ok.ToString();
 }
 
+// A batch column that mixes strings and numbers is a type error naming the
+// relation and column on every engine, in both directions: building the
+// batch never throws, nothing is ingested, and the epoch stays put.
+void ExpectMixedColumnRejected(const Row& first, const Row& second,
+                               const std::string& column) {
+  ScriptCase sc = LoadScript("q3s");
+  for (const char* kind : {"toaster-i", "ivm1", "reeval", "toaster-c"}) {
+    EngineInstance inst = MakeEngine(kind, sc);
+    ASSERT_NE(inst.engine, nullptr) << kind;
+    EventBatch b;
+    b.AddInsert("CUSTOMER", first);
+    b.AddInsert("CUSTOMER", second);
+    Status st = inst.engine->ApplyBatch(std::move(b));
+    ASSERT_FALSE(st.ok()) << kind;
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << kind;
+    EXPECT_NE(st.message().find("'CUSTOMER'"), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find(column), std::string::npos) << st.ToString();
+    EXPECT_EQ(inst.engine->epoch(), 0u) << kind;
+  }
+}
+
+TEST(IngestValidation, NumberAfterStringInOneColumnIsTypeError) {
+  // MKTSEGMENT (column 1) is a string column; its second value is a number.
+  ExpectMixedColumnRejected({Value(int64_t{1}), Value("BUILDING")},
+                            {Value(int64_t{2}), Value(int64_t{7})},
+                            "column 1");
+}
+
+TEST(IngestValidation, StringAfterNumberInOneColumnIsTypeError) {
+  // CUSTKEY (column 0) is an int column; its second value is a string.
+  ExpectMixedColumnRejected({Value(int64_t{1}), Value("BUILDING")},
+                            {Value("oops"), Value("MACHINERY")}, "column 0");
+}
+
 TEST(IngestValidation, CatalogRelationWithoutTriggerIsAcceptedNoOp) {
   auto e = MicroEngine();
   // S is in the catalog but the query never reads it: validated, applied to
@@ -535,14 +585,9 @@ TEST(UpsertNormalizer, DedupsReplacesAndDropsUnknownDeletes) {
   EXPECT_EQ(out2.size(), 2u);
   bool saw_delete_old = false, saw_insert_new = false;
   for (const EventBatch::Group& g : out2.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) {
-      Row r = g.RowAt(i);
-      if (g.kind == EventKind::kDelete && r[1] == Value("a")) {
-        saw_delete_old = true;
-      }
-      if (g.kind == EventKind::kInsert && r[1] == Value("a2")) {
-        saw_insert_new = true;
-      }
+    for (const Row& r : runtime::GroupRows(g)) {
+      if (!g.is_insert && r[1] == Value("a")) saw_delete_old = true;
+      if (g.is_insert && r[1] == Value("a2")) saw_insert_new = true;
     }
   }
   EXPECT_TRUE(saw_delete_old && saw_insert_new);
@@ -741,6 +786,24 @@ TEST(BatchLog, AppendReadRoundTripAndTornTail) {
 /// strand later records behind a torn frame: the writer truncates back to
 /// the pre-append offset, refuses appends until Sync() confirms the
 /// rollback, and every record appended after recovery stays replayable.
+// A batch whose column mixed strings and numbers is refused before any byte
+// reaches the log: ingest rejects it, so replay must never see it.
+TEST(BatchLog, AppendRefusesMixedColumnBatch) {
+  const std::string path = TempPath("log_mixed.log");
+  std::remove(path.c_str());
+  EventBatch mixed;
+  mixed.AddInsert("R", {Value(int64_t{1}), Value("a"), Value(int64_t{2})});
+  mixed.AddInsert("R",
+                  {Value(int64_t{2}), Value(int64_t{3}), Value(int64_t{4})});
+  BatchLogWriter w;
+  ASSERT_TRUE(w.Open(path).ok());
+  Status st = w.Append(1, mixed);
+  EXPECT_EQ(st.code(), StatusCode::kTypeError) << st.ToString();
+  ASSERT_TRUE(w.Sync().ok());
+  EXPECT_TRUE(ReadBytes(path).empty());
+  std::remove(path.c_str());
+}
+
 TEST(BatchLog, MidFrameWriteFailureRollsBackTornFrame) {
   const std::string path = TempPath("log_midframe.log");
   std::remove(path.c_str());
@@ -850,7 +913,7 @@ TEST(BatchLog, ReplayIsExactlyOnceAndDetectsGaps) {
     ASSERT_TRUE(w.Open(path).ok());
     for (size_t i = 0; i < batches.size(); ++i) {
       ASSERT_TRUE(w.Append(i + 1, batches[i]).ok());
-      ASSERT_TRUE(reference->ApplyBatch(CopyBatch(batches[i])).ok());
+      ASSERT_TRUE(reference->ApplyBatch(EventBatch(batches[i])).ok());
     }
   }
 
@@ -879,7 +942,7 @@ TEST(BatchLog, ReplayIsExactlyOnceAndDetectsGaps) {
   // applied.
   auto partial = MicroEngine();
   for (size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(partial->ApplyBatch(CopyBatch(batches[i])).ok());
+    ASSERT_TRUE(partial->ApplyBatch(EventBatch(batches[i])).ok());
   }
   auto stats3 = runtime::ReplayLog(path, partial.get());
   ASSERT_TRUE(stats3.ok());
@@ -936,7 +999,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
   // every batch boundary.
   std::vector<exec::QueryResult> reference_views;
   for (size_t i = 0; i < kBatches; ++i) {
-    ASSERT_TRUE(reference.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+    ASSERT_TRUE(reference.engine->ApplyBatch(EventBatch(batches[i])).ok())
         << label;
     auto v = reference.engine->View(reference.view);
     ASSERT_TRUE(v.ok()) << label << ": " << v.status().ToString();
@@ -955,7 +1018,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
     }
     for (size_t i = 0; i < crash_at; ++i) {
       ASSERT_TRUE(w.Append(i + 1, batches[i]).ok()) << label;
-      ASSERT_TRUE(victim.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+      ASSERT_TRUE(victim.engine->ApplyBatch(EventBatch(batches[i])).ok())
           << label;
       if (i + 1 == ckpt_at) {
         ASSERT_TRUE(runtime::WriteCheckpoint(ckpt, *victim.engine).ok())
@@ -1014,7 +1077,7 @@ void RunCrashRecovery(const ScriptCase& sc, const std::string& kind,
   // The upstream resends from the recovery epoch (exactly-once cursor);
   // finish the stream and require the final views identical.
   for (size_t i = recovered_to; i < kBatches; ++i) {
-    ASSERT_TRUE(recovered.engine->ApplyBatch(CopyBatch(batches[i])).ok())
+    ASSERT_TRUE(recovered.engine->ApplyBatch(EventBatch(batches[i])).ok())
         << label;
   }
   auto final_got = recovered.engine->View(recovered.view);

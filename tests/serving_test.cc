@@ -98,14 +98,6 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
   return batches;
 }
 
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
-}
-
 struct EngineInstance {
   std::unique_ptr<dbt::StreamProgram> program;
   std::unique_ptr<StreamEngine> engine;
@@ -193,7 +185,7 @@ std::vector<std::string> BuildReference(const std::string& kind,
   EXPECT_TRUE(v0.ok()) << kind << ": " << v0.status().ToString();
   ref.push_back(CanonView(v0.value()));
   for (const EventBatch& b : stream) {
-    Status st = inst.engine->ApplyBatch(CopyBatch(b));
+    Status st = inst.engine->ApplyBatch(EventBatch(b));
     EXPECT_TRUE(st.ok()) << kind << ": " << st.ToString();
     auto v = inst.engine->View(inst.view);
     EXPECT_TRUE(v.ok()) << kind << ": " << v.status().ToString();
@@ -286,7 +278,7 @@ TEST(ServingStress, EpochConsistentSnapshotsAcrossEngines) {
       }
 
       for (const EventBatch& b : stream) {
-        Status st = engine->ApplyBatch(CopyBatch(b));
+        Status st = engine->ApplyBatch(EventBatch(b));
         ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
         // Give readers a slice between publishes so they interleave with
         // the writer instead of racing it only at the end.
@@ -335,7 +327,7 @@ TEST(Serving, SubscriberDeltaReplayReconstructsEveryEpoch) {
 
     ViewSubscriber mid;
     for (size_t b = 0; b < stream.size(); ++b) {
-      ASSERT_TRUE(engine->ApplyBatch(CopyBatch(stream[b])).ok()) << kind;
+      ASSERT_TRUE(engine->ApplyBatch(EventBatch(stream[b])).ok()) << kind;
       if (b + 1 == kMidEpoch) {
         auto m = engine->Subscribe();
         ASSERT_TRUE(m.ok()) << kind;
@@ -384,7 +376,7 @@ TEST(Serving, SlowSubscriberLags) {
   auto sub = engine->Subscribe();
   ASSERT_TRUE(sub.ok());
   for (const EventBatch& b : stream) {
-    ASSERT_TRUE(engine->ApplyBatch(CopyBatch(b)).ok());
+    ASSERT_TRUE(engine->ApplyBatch(EventBatch(b)).ok());
   }
   EXPECT_TRUE(sub.value().lagged());
   EXPECT_TRUE(sub.value().Poll().empty()) << "lagged queue must be dropped";
@@ -428,7 +420,7 @@ TEST(Serving, CompiledPublishSnapshotMatchesView) {
   StreamEngine* engine = inst.engine.get();
   ASSERT_TRUE(engine->EnableServing().ok());
   for (const EventBatch& b : stream) {
-    ASSERT_TRUE(engine->ApplyBatch(CopyBatch(b)).ok());
+    ASSERT_TRUE(engine->ApplyBatch(EventBatch(b)).ok());
   }
 
   auto direct = engine->View("q0");

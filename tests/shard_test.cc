@@ -15,7 +15,6 @@
 
 #include "bench/bench_common.h"
 #include "bench/gen/mm.hpp"
-#include "src/codegen/dbt_select.h"
 #include "src/common/rng.h"
 #include "src/runtime/stream_engine.h"
 #include "src/sql/parser.h"
@@ -292,22 +291,25 @@ TEST(ShardDeterminism, InterpretedGroupedAggregateAcrossCutoff) {
   }
 }
 
-/// Restores the process-wide selection toggle to its default (enabled) when
-/// a test scope ends, mirroring PoolGuard for the worker pool.
-struct SelectionGuard {
-  ~SelectionGuard() { dbt::SetSelectionEnabled(true); }
-};
+/// The canonical view after replaying `events` one OnEvent at a time.
+std::string ReplayedView(StreamEngine* engine,
+                         const std::vector<Event>& events,
+                         const std::string& view_name) {
+  for (const Event& ev : events) EXPECT_TRUE(engine->OnEvent(ev).ok());
+  auto view = engine->View(view_name);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  return view.ok() ? Canon(view.value()) : std::string();
+}
 
-// The selection-vector prologue must be a pure performance rewrite: with
-// predicates extracted into kernels (selection on) or left to the per-row
-// guard factors (selection off), views must be byte-identical at every
-// thread count. Covers both the dbtc-generated sharded vec path (batch 512
-// crosses dbt::kShardBatchCutoff, so selection runs after the shard split)
-// and the interpreted engine's SelectionClasses mirror on a pred-guarded
-// grouped aggregate, below and above the cutoff.
-TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
+// Batched ingestion must equal per-event replay at every thread count,
+// with thread-invariant retained state. Covers the dbtc-generated sharded
+// vectorized path (batch 512 crosses dbt::kShardBatchCutoff, so the
+// selection prologue runs after the shard split) against the scalar on_<R>
+// handler a batch of one takes, and the interpreted engine's
+// SelectionClasses skip on a pred-guarded grouped aggregate, below and
+// above the cutoff.
+TEST(ShardDeterminism, BatchedEqualsPerEventReplayAcrossThreads) {
   PoolGuard pool_guard;
-  SelectionGuard sel_guard;
 
   // Generated program: the market-maker query's guards feed the prologue.
   {
@@ -319,31 +321,27 @@ TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
     workload::OrderBookGenerator gen(cfg);
     const std::vector<Event> events = gen.Generate(6000);
 
-    std::string reference;
-    RunOutput per_mode[2];
-    for (bool selection : {true, false}) {
-      RunOutput at_one;
-      for (size_t threads : {size_t{1}, size_t{8}}) {
-        dbt::SetSelectionEnabled(selection);
-        runtime::shard_pool().set_threads(threads);
-        dbtoaster_gen::mm_Program program;
-        auto engine = MakeEngine("toaster-c", catalog, sql, &program);
-        ASSERT_NE(engine, nullptr);
-        RunOutput out = RunBatched(engine.get(), events, 512, "q0");
-        if (reference.empty()) reference = out.view;
-        EXPECT_EQ(out.view, reference)
-            << "selection=" << selection << " threads=" << threads;
-        if (threads == 1) {
-          at_one = out;
-        } else {
-          EXPECT_EQ(out.state_bytes, at_one.state_bytes)
-              << "selection=" << selection << " threads=" << threads;
-        }
+    runtime::shard_pool().set_threads(1);
+    dbtoaster_gen::mm_Program ref_program;
+    auto reference = MakeEngine("toaster-c", catalog, sql, &ref_program);
+    ASSERT_NE(reference, nullptr);
+    const std::string want = ReplayedView(reference.get(), events, "q0");
+
+    RunOutput at_one;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      runtime::shard_pool().set_threads(threads);
+      dbtoaster_gen::mm_Program program;
+      auto engine = MakeEngine("toaster-c", catalog, sql, &program);
+      ASSERT_NE(engine, nullptr);
+      RunOutput out = RunBatched(engine.get(), events, 512, "q0");
+      EXPECT_EQ(out.view, want) << "threads=" << threads;
+      if (threads == 1) {
+        at_one = out;
+      } else {
+        EXPECT_EQ(out.state_bytes, at_one.state_bytes)
+            << "threads=" << threads;
       }
-      per_mode[selection ? 0 : 1] = at_one;
     }
-    EXPECT_EQ(per_mode[0].view, per_mode[1].view)
-        << "selection toggle changed the generated program's view";
   }
 
   // Interpreted engine: a guarded grouped aggregate through the
@@ -372,36 +370,27 @@ TEST(ShardDeterminism, SelectionToggleInvariantAcrossThreads) {
       }
     }
 
-    dbt::SetSelectionEnabled(true);
     runtime::shard_pool().set_threads(1);
     auto ref_program = compiler::CompileQuery(cat, "q", query);
     ASSERT_TRUE(ref_program.ok());
     runtime::Engine reference(std::move(ref_program).value());
-    for (const Event& ev : events) ASSERT_TRUE(reference.OnEvent(ev).ok());
-    auto ref_view = reference.View("q");
-    ASSERT_TRUE(ref_view.ok());
-    const std::string want = Canon(ref_view.value());
+    const std::string want = ReplayedView(&reference, events, "q");
 
     for (size_t batch : {size_t{16}, size_t{1024}}) {
-      for (bool selection : {true, false}) {
-        RunOutput at_one;
-        for (size_t threads : {size_t{1}, size_t{8}}) {
-          dbt::SetSelectionEnabled(selection);
-          runtime::shard_pool().set_threads(threads);
-          auto program = compiler::CompileQuery(cat, "q", query);
-          ASSERT_TRUE(program.ok());
-          runtime::Engine engine(std::move(program).value());
-          RunOutput out = RunBatched(&engine, events, batch);
-          EXPECT_EQ(out.view, want) << "batch=" << batch
-                                    << " selection=" << selection
-                                    << " threads=" << threads;
-          if (threads == 1) {
-            at_one = out;
-          } else {
-            EXPECT_EQ(out.state_bytes, at_one.state_bytes)
-                << "batch=" << batch << " selection=" << selection
-                << " threads=" << threads;
-          }
+      RunOutput at_one;
+      for (size_t threads : {size_t{1}, size_t{8}}) {
+        runtime::shard_pool().set_threads(threads);
+        auto program = compiler::CompileQuery(cat, "q", query);
+        ASSERT_TRUE(program.ok());
+        runtime::Engine engine(std::move(program).value());
+        RunOutput out = RunBatched(&engine, events, batch);
+        EXPECT_EQ(out.view, want)
+            << "batch=" << batch << " threads=" << threads;
+        if (threads == 1) {
+          at_one = out;
+        } else {
+          EXPECT_EQ(out.state_bytes, at_one.state_bytes)
+              << "batch=" << batch << " threads=" << threads;
         }
       }
     }

@@ -10,8 +10,8 @@
 #   2. no raw `new` — generated programs own no heap allocations directly;
 #      everything lives in value-semantic stores.
 #   3. per-relation handler completeness — every relation dispatched in
-#      on_batch()/on_event() has both its scalar handler (on_REL) and its
-#      batch handler (on_batch_REL).
+#      on_batch() has both its scalar handler (on_REL) and its batch
+#      handler (on_batch_REL).
 #   4. selection loops are kernel-only — the selection prologue of a vec_
 #      handler may call dbt::Sel* kernels but must never compare strings
 #      per row (== "...", dbt::Like, strcmp); string guards go through the
@@ -26,6 +26,10 @@
 #   7. serving surface — every generated program overrides
 #      publish_snapshot(), the one-pass rendering hook the concurrent
 #      snapshot-serving tier uses to publish epoch-stamped views.
+#   8. one ingest path — no row shim (g.row()), no per-event string
+#      dispatcher (on_event()) and no process-wide selection switch
+#      (SelectionEnabled); batches reach the typed handlers only through
+#      on_batch and dbt::Lane.
 #
 # Usage: tools/lint_gen.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -109,6 +113,12 @@ for q in $QUERIES; do
   # tier renders published epochs through.
   if ! grep -qF "publish_snapshot(" "$hpp"; then
     echo "lint_gen: FAIL — $q.hpp is missing the publish_snapshot() serving hook" >&2
+    fail=1
+  fi
+
+  # One ingest path: batches go through on_batch and dbt::Lane only.
+  if grep -nE 'g\.row\(|on_event\(|SelectionEnabled' "$hpp" >&2; then
+    echo "lint_gen: FAIL — $q.hpp has a row shim, on_event() dispatcher or selection switch" >&2
     fail=1
   fi
 done

@@ -107,14 +107,6 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
   return batches;
 }
 
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
-}
-
 struct EngineInstance {
   std::unique_ptr<dbt::StreamProgram> program;
   std::unique_ptr<StreamEngine> engine;
@@ -217,7 +209,7 @@ RunResult RunConfig(const std::string& kind, const ScriptCase& sc,
   const auto t0 = std::chrono::steady_clock::now();
   bool writer_ok = true;
   for (const EventBatch& b : stream) {
-    if (!engine->ApplyBatch(CopyBatch(b)).ok()) {
+    if (!engine->ApplyBatch(EventBatch(b)).ok()) {
       writer_ok = false;
       break;
     }

@@ -138,14 +138,6 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
   return batches;
 }
 
-EventBatch CopyBatch(const EventBatch& src) {
-  EventBatch out;
-  for (const EventBatch::Group& g : src.groups()) {
-    for (size_t i = 0; i < g.rows; ++i) out.Add(g.kind, g.relation, g.RowAt(i));
-  }
-  return out;
-}
-
 struct EngineInstance {
   std::unique_ptr<dbt::StreamProgram> program;
   std::unique_ptr<StreamEngine> engine;
@@ -230,7 +222,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     return false;
   }
   for (size_t i = 0; i < kBatches; ++i) {
-    Status st = reference.engine->ApplyBatch(CopyBatch(batches[i]));
+    Status st = reference.engine->ApplyBatch(EventBatch(batches[i]));
     if (!st.ok()) {
       std::fprintf(stderr, "[%s] reference apply: %s\n", label.c_str(),
                    st.ToString().c_str());
@@ -246,7 +238,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     w.set_sync_every(1 + rng.Uniform(4));
     for (size_t i = 0; i < crash_at; ++i) {
       if (!w.Append(i + 1, batches[i]).ok()) return false;
-      if (!victim.engine->ApplyBatch(CopyBatch(batches[i])).ok()) return false;
+      if (!victim.engine->ApplyBatch(EventBatch(batches[i])).ok()) return false;
       if (rng.Chance(0.3)) {
         // With --faults, sometimes kill the checkpoint between the tmp-file
         // fsync and the rename: the write fails, a .tmp is left behind, and
@@ -344,7 +336,7 @@ bool RunIteration(const ScriptCase& sc, const std::string& kind,
     return false;
   }
   for (size_t i = recovered_to; i < kBatches; ++i) {
-    if (!recovered.engine->ApplyBatch(CopyBatch(batches[i])).ok()) {
+    if (!recovered.engine->ApplyBatch(EventBatch(batches[i])).ok()) {
       ++stats->failures;
       return false;
     }
