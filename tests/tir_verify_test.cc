@@ -120,6 +120,10 @@ struct MicroCase {
   const char* sql;
 };
 
+// Without a printer gtest shows the two pointers as raw bytes, and CTest
+// bakes those (ASLR-dependent) bytes into every discovered test name.
+void PrintTo(const MicroCase& c, std::ostream* os) { *os << c.label; }
+
 class MicroQueryVerifies : public ::testing::TestWithParam<MicroCase> {};
 
 TEST_P(MicroQueryVerifies, NoErrors) {
