@@ -47,8 +47,6 @@ struct Cell {
   size_t events = 0;
   double seconds = 0;
   double selectivity = -1;       // predicate hit-rate axis; -1 = n/a
-  uint64_t selected_rows = 0;    // rows surviving selection passes
-  uint64_t probe_runs = 0;       // run-batched map commits
 
   double Rate() const {
     return seconds > 0 ? static_cast<double>(events) / seconds : 0;
@@ -351,8 +349,7 @@ bool LoadQueryCatalog(const char* name, Catalog* catalog) {
 // Axis 2b — the columnar batch path on the predicate-heavy fragment
 // queries: the acceptance meter for the vectorized-selection prologue.
 // Each query's generated program ingests its own seeded random stream at
-// batch {256, 4096}; the selection counters (selected_rows / probe_runs)
-// land in the JSON.
+// batch {256, 4096}.
 void RunQueryColumnarSweep(bool quick) {
   const double kBudget = quick ? 0.1 : 0.6;  // s per (query, batch)
   const size_t kBatchSizes[] = {256, 4096};
@@ -376,18 +373,15 @@ void RunQueryColumnarSweep(bool quick) {
       std::unique_ptr<dbt::StreamProgram> generated = FragmentProgram(name);
       runtime::CompiledProgramEngine engine(generated.get());
       auto [n, s] = TimedBatchRun(events, kBudget, bs, &engine);
-      Cell cell{std::string("batch-path-") + name, engine.Name(), bs, 1, n, s};
-      cell.selected_rows = generated->selected_rows();
-      cell.probe_runs = generated->probe_runs();
-      g_cells.push_back(cell);
+      g_cells.push_back(
+          Cell{std::string("batch-path-") + name, engine.Name(), bs, 1, n, s});
       std::printf(" %18.0f", s > 0 ? static_cast<double>(n) / s : 0);
     }
     std::printf("\n");
   }
   std::printf(
       "\nshape check: selection passes + run-batched probes lift the rate "
-      "on\nlow-selectivity queries; selected_rows / probe_runs in the JSON "
-      "show\nhow many rows survived and how many map commits ran.\n");
+      "on\nlow-selectivity queries.\n");
 }
 
 // Axis 5 — selectivity: q6s with its shipdate guard's hit-rate dialed from
@@ -438,16 +432,13 @@ void RunSelectivitySweep(bool quick) {
     auto [n, s] = TimedBatchRun(events, kBudget, kBatch, &engine);
     Cell cell{"selectivity-q6s", engine.Name(), kBatch, 1, n, s};
     cell.selectivity = hit;
-    cell.selected_rows = generated->selected_rows();
-    cell.probe_runs = generated->probe_runs();
     g_cells.push_back(cell);
     std::printf(" %16.0f", s > 0 ? static_cast<double>(n) / s : 0);
   }
   std::printf("\n");
   std::printf(
       "\nshape check: the columnar rate rises as selectivity drops "
-      "(skipped rows\ncost one branch-free lane compare); selected_rows "
-      "in the JSON tracks the\nhit-rate linearly.\n");
+      "(skipped rows\ncost one branch-free lane compare).\n");
 }
 
 bool WriteJson(const std::string& path) {
@@ -464,9 +455,7 @@ bool WriteJson(const std::string& path) {
       << ", \"events\": " << c.events << ", \"seconds\": " << c.seconds
       << ", \"events_per_sec\": " << c.Rate();
     if (c.selectivity >= 0) f << ", \"selectivity\": " << c.selectivity;
-    f << ", \"selected_rows\": " << c.selected_rows
-      << ", \"probe_runs\": " << c.probe_runs << "}"
-      << (i + 1 < g_cells.size() ? "," : "") << "\n";
+    f << "}" << (i + 1 < g_cells.size() ? "," : "") << "\n";
   }
   f << "]\n";
   f.flush();

@@ -1185,8 +1185,8 @@ class Generator {
   /// Program-wide verdict: may integer map layout drift (run-batched adds,
   /// statement-major multi-writer merges)? See ComputeRelaxedOk.
   bool relaxed_ok_ = false;
-  /// Any trigger got a vec_<R> group handler (emit counters + overrides).
-  bool any_vec_ = false;
+  /// Relations whose only trigger body is vec_<R> (see EmitTrigger).
+  std::set<std::string> vec_rels_;
   std::vector<IndexReq> index_reqs_;
   int temp_ = 0;
   int indent_ = 1;
@@ -1304,8 +1304,38 @@ Status Generator::EmitTrigger(const tir::Trigger& trig, std::string* out) {
   }
   params.push_back("const int64_t sign");
   env.vars[tir::kSignVar] = "sign";
-  Line(out, StrFormat("void on_%s(%s) {", trig.relation.c_str(),
-                      Join(params, ", ").c_str()));
+  const std::string signature = StrFormat(
+      "void on_%s(%s)", trig.relation.c_str(), Join(params, ", ").c_str());
+
+  // One body per relation. A vectorizable trigger gets only vec_<R>, and
+  // on_<R> forwards a single event to it as a selection of one row. The
+  // emission budget is the one rule that picks the scalar body instead:
+  // a handler whose statement residuals are deep join pyramids re-renders
+  // them once per selection class (the wide q41 join), which would bloat
+  // dbtc output (tools/check_gen_loc.sh) for a prologue win that is noise
+  // against the residual cost.
+  if (VecEligible(trig)) {
+    static constexpr size_t kVecEmitLineCap = 300;
+    std::string vec_text;
+    DBT_RETURN_IF_ERROR(EmitVecTrigger(trig, &vec_text));
+    const size_t lines = static_cast<size_t>(
+        std::count(vec_text.begin(), vec_text.end(), '\n'));
+    if (lines <= kVecEmitLineCap) {
+      vec_rels_.insert(trig.relation);
+      std::string ptrs;
+      for (const tir::Param& p : trig.params) ptrs += "&arg_" + p.name + ", ";
+      Line(out, StrFormat("%s { vec_%s(%snullptr, 1, sign); }",
+                          signature.c_str(), trig.relation.c_str(),
+                          ptrs.c_str()));
+      out->append(vec_text);
+      return Status::OK();
+    }
+    Line(out, StrFormat("// vec_%s elided: %zu lines exceeds the emission "
+                        "budget (%zu)",
+                        trig.relation.c_str(), lines, kVecEmitLineCap));
+  }
+
+  Line(out, signature + " {");
   ++indent_;
 
   // Statements that failed sign unification carry a one-sided mask; their
@@ -1446,18 +1476,18 @@ Status Generator::EmitTrigger(const tir::Trigger& trig, std::string* out) {
 }
 
 /// Group-vectorized handler: one call per (relation, op) group (or per
-/// shard sub-range under a shard plan) replaces the per-row trigger calls.
-/// Extracted guards run once as selection kernels over whole column lanes;
-/// each statement then iterates only its class's survivors; statements
-/// whose target keys are event lanes sort survivors into key runs and
-/// commit each run with a single probe. Contribution values, their order,
-/// and float addition order are identical to per-row replay (see the
-/// layout-exactness comment at the analysis layer).
+/// shard sub-range under a shard plan, or per single event through the
+/// on_<R> forwarder). Extracted guards run once as selection kernels over
+/// whole column lanes; each statement then iterates only its class's
+/// survivors; statements whose target keys are event lanes sort survivors
+/// into key runs and commit each run with a single probe. Contribution
+/// values, their order, and float addition order are identical to per-row
+/// replay (see the layout-exactness comment at the analysis layer).
 Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
   const std::string& rel = t.relation;
 
   // Row binding identical to the scalar handler's, so factor ordering (and
-  // with it contribution order) matches on_<R> exactly.
+  // with it contribution order) matches per-event replay exactly.
   Env row_env;
   for (size_t i = 0; i < t.params.size(); ++i) {
     row_env.vars[t.params[i].name] = StrFormat("c%zu[i]", i);
@@ -1588,8 +1618,6 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
                       "const uint32_t base_n, const int64_t sign) {",
                       rel.c_str(), cparams.c_str()));
   ++indent_;
-  Line(out, "uint64_t vec_rows = 0;");
-  Line(out, "uint64_t vec_runs = 0;");
 
   // --- selection prologue (guard extraction -> kernels) ---
   Line(out, "// --- selection prologue (guard extraction -> kernels) ---");
@@ -1665,7 +1693,6 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
                   first ? "uint32_t " + cnt : cnt);
       }
     }
-    Line(out, StrFormat("vec_rows += %s;", cnt.c_str()));
   }
 
   // --- statement phases (statement-major, selection-vector iteration) ---
@@ -1804,7 +1831,6 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
           Line(out, StrFormat("double* %s = %s_.find_value(%s);",
                               slot.c_str(), s.stmt.target.c_str(),
                               rkey.c_str()));
-          Line(out, "++vec_runs;");
           auto body = [&](bool live) -> Status {
             Line(out, iter_open);
             ++indent_;
@@ -1853,7 +1879,6 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
             emit_bodies([&](const tir::Stmt&) { return sink; }));
         --indent_;
         Line(out, "}");
-        Line(out, "++vec_runs;");
         Line(out, StrFormat("upd_%s_(%s, %s);", s.stmt.target.c_str(),
                             rkey.c_str(), acc.c_str()));
         return Status::OK();
@@ -1871,7 +1896,8 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
       } else {
         // Stable sort of the survivors on the unpinned key lanes: per-key
         // row order stays ascending, so per-key write sequences are the
-        // scalar ones.
+        // scalar ones. The guard skips libstdc++'s temporary-buffer
+        // allocation on the one-row calls of the on_<R> forwarder.
         std::string srt = Fresh("srt");
         Line(out, StrFormat("dbt::SelBuf sb_%s;", srt.c_str()));
         Line(out, StrFormat("uint32_t* %s = sb_%s.data(%s);", srt.c_str(),
@@ -1893,9 +1919,10 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
           Line(out, StrFormat("std::copy(%s, %s + %s, %s);", sel.c_str(),
                               sel.c_str(), cnt.c_str(), srt.c_str()));
         }
-        Line(out, StrFormat("std::stable_sort(%s, %s + %s, "
+        Line(out, StrFormat("if (%s > 1) std::stable_sort(%s, %s + %s, "
                             "[&](uint32_t ra, uint32_t rb) {",
-                            srt.c_str(), srt.c_str(), cnt.c_str()));
+                            cnt.c_str(), srt.c_str(), srt.c_str(),
+                            cnt.c_str()));
         ++indent_;
         for (size_t j = 0; j + 1 < unpinned.size(); ++j) {
           Line(out, StrFormat("if (c%zu[ra] != c%zu[rb]) "
@@ -1942,8 +1969,6 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
     Line(out, "}");
   }
 
-  Line(out, "selected_rows_.fetch_add(vec_rows, std::memory_order_relaxed);");
-  Line(out, "probe_runs_.fetch_add(vec_runs, std::memory_order_relaxed);");
   --indent_;
   Line(out, "}");
   return Status::OK();
@@ -2054,8 +2079,8 @@ Status Generator::EmitViews(std::string* out) {
 /// per relation consumes a columnar (relation, op) group directly. Each
 /// column is read as a flat typed lane (dbt::Lane converts a column whose
 /// tag differs from the schema type); a group of the wrong arity is
-/// skipped. Groups of more than one row run the vectorized handler when
-/// there is one, a single row the scalar on_<R>. Under a shard plan, large
+/// skipped. The group runs through the relation's one trigger body: vec_<R>
+/// over the whole group, or on_<R> row by row. Under a shard plan, large
 /// groups are hash-partitioned on the relation's partition attribute into
 /// the fixed logical shards and replayed on the worker pool; shard
 /// isolation (every store partitioned on the same attribute) makes this
@@ -2065,29 +2090,7 @@ Status Generator::EmitBatchHandlers(std::string* out) {
   for (const tir::Trigger& t : tir_.triggers) {
     const std::string& rel = t.relation;
     const size_t ncols = t.params.size();
-    bool vec = VecEligible(t);
-    if (vec) {
-      // Emission size budget: a handler whose statement residuals are deep
-      // join pyramids re-renders them once per selection class, and on such
-      // triggers the prologue win is noise against the residual cost (the
-      // wide q41 join). Dropping the oversized handler keeps dbtc output
-      // lean (tools/check_gen_loc.sh) — the scalar per-row path remains.
-      static constexpr size_t kVecEmitLineCap = 300;
-      std::string vec_text;
-      DBT_RETURN_IF_ERROR(EmitVecTrigger(t, &vec_text));
-      const size_t lines =
-          static_cast<size_t>(std::count(vec_text.begin(), vec_text.end(),
-                                         '\n'));
-      if (lines <= kVecEmitLineCap) {
-        any_vec_ = true;
-        out->append(vec_text);
-      } else {
-        vec = false;
-        Line(out, StrFormat("// vec_%s elided: %zu lines exceeds the "
-                            "emission budget (%zu)",
-                            rel.c_str(), lines, kVecEmitLineCap));
-      }
-    }
+    const bool vec = vec_rels_.count(rel) != 0;
     Line(out, StrFormat("size_t on_batch_%s(const dbt::EventBatch::Group& g, "
                         "const int64_t sign) {",
                         rel.c_str()));
@@ -2140,17 +2143,13 @@ Status Generator::EmitBatchHandlers(std::string* out) {
       Line(out, "}");
     }
     if (vec) {
-      Line(out, "if (n > 1) {");
-      ++indent_;
       Line(out, StrFormat("vec_%s(%snullptr, static_cast<uint32_t>(n), "
                           "sign);",
                           rel.c_str(), vec_args.c_str()));
-      Line(out, "return n;");
-      --indent_;
-      Line(out, "}");
+    } else {
+      Line(out, StrFormat("for (size_t i = 0; i < n; ++i) %s",
+                          scalar_call.c_str()));
     }
-    Line(out, StrFormat("for (size_t i = 0; i < n; ++i) %s",
-                        scalar_call.c_str()));
     Line(out, "return n;");
     --indent_;
     Line(out, "}");
@@ -2207,20 +2206,6 @@ Status Generator::EmitDispatcher(std::string* out) {
   Line(out, "return bytes;");
   --indent_;
   Line(out, "}");
-
-  if (any_vec_) {
-    // Selection-path observability for the bench harness.
-    Line(out, "uint64_t selected_rows() const override {");
-    ++indent_;
-    Line(out, "return selected_rows_.load(std::memory_order_relaxed);");
-    --indent_;
-    Line(out, "}");
-    Line(out, "uint64_t probe_runs() const override {");
-    ++indent_;
-    Line(out, "return probe_runs_.load(std::memory_order_relaxed);");
-    --indent_;
-    Line(out, "}");
-  }
   return Status::OK();
 }
 
@@ -2271,21 +2256,6 @@ Status Generator::EmitViewShim(std::string* out) {
     Line(out, "}");
     --indent_;
     Line(out, "}");
-  }
-  Line(out, "return out;");
-  --indent_;
-  Line(out, "}");
-
-  // Snapshot-publish hook: one consistent rendering of every view per
-  // publish, consumed by the concurrent serving tier.
-  Line(out, "std::vector<dbt::ViewRows> publish_snapshot() override {");
-  ++indent_;
-  Line(out, "std::vector<dbt::ViewRows> out;");
-  Line(out, StrFormat("out.reserve(%zu);", p_.views.size()));
-  for (const compiler::ViewSpec& v : p_.views) {
-    Line(out, StrFormat("out.push_back(dbt::ViewRows{%s, view_rows(%s)});",
-                        EscapeString(v.name).c_str(),
-                        EscapeString(v.name).c_str()));
   }
   Line(out, "return out;");
   --indent_;
@@ -2463,12 +2433,6 @@ Result<std::string> Generator::Run() {
   Line(&body, "return deser.ok();");
   --indent_;
   Line(&body, "}");
-
-  if (any_vec_) {
-    Line(&body, "// --- selection-path counters ---");
-    Line(&body, "std::atomic<uint64_t> selected_rows_{0};");
-    Line(&body, "std::atomic<uint64_t> probe_runs_{0};");
-  }
 
   std::string out;
   out += "// Generated by dbtc (DBToaster SQL-to-C++ compiler). DO NOT EDIT.\n";

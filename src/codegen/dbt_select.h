@@ -16,10 +16,10 @@
 // scalar kernel so generated selection prologues never run a per-row
 // std::string comparison loop inline.
 //
-// Generated batch handlers run every group of more than one row through
-// the vectorized path (selection prologue + statement-major phases) and a
-// single row through the scalar on_<R> handler; both produce byte-identical
-// state (tests/differential_test.cc pins it).
+// A relation with a vectorized handler (selection prologue +
+// statement-major phases) runs every group through it, and its on_<R>
+// forwards a single event as a one-row selection. Batched and per-event
+// replay produce byte-identical state (tests/differential_test.cc pins it).
 #ifndef DBTOASTER_CODEGEN_DBT_SELECT_H_
 #define DBTOASTER_CODEGEN_DBT_SELECT_H_
 
@@ -121,7 +121,7 @@ inline uint32_t SelStrNe(const std::string* lane, const std::string& c,
 }
 
 /// Stack-or-heap scratch for one selection vector. Groups up to kInline
-/// rows (including the scalar on_<R> wrapper's 1-row lanes) select with no
+/// rows (including the on_<R> forwarder's 1-row lanes) select with no
 /// allocation; larger groups spill to a vector sized once per call.
 class SelBuf {
  public:

@@ -430,7 +430,7 @@ struct EventColumn {
 /// The lane of type T a generated handler reads for one column: the
 /// column's own array when its tag already holds T, otherwise `scratch`
 /// filled with every value converted by AsInt / AsDouble / AsString (the
-/// conversions a scalar on_<R> call applies to a dynamic value).
+/// conversions a typed on_<R> call applies to a dynamic value).
 template <typename T>
 const T* Lane(const EventColumn& col, std::vector<T>* scratch) {
   if constexpr (std::is_same_v<T, int64_t>) {
@@ -567,13 +567,6 @@ struct RelationSchema {
   std::vector<EventColumn::Tag> lanes;
 };
 
-/// One registered view's materialized rows at a publish point (the unit of
-/// the snapshot-publish hook below).
-struct ViewRows {
-  std::string name;
-  std::vector<std::vector<Value>> rows;
-};
-
 /// Abstract driver interface implemented by every dbtc-generated program:
 /// the dynamic surface that makes generated code drivable through the same
 /// engine-agnostic interface as the interpreted engines (see
@@ -599,26 +592,6 @@ class StreamProgram {
   /// views); the typed view_<name>() accessors avoid the conversion.
   virtual std::vector<std::vector<Value>> view_rows(
       const std::string& view) = 0;
-
-  /// Snapshot-publish hook: materialize every registered view in one call
-  /// against the current state. The concurrent serving tier invokes this at
-  /// publish time so each ingest epoch yields one consistent rendering of
-  /// all views; generated programs override it (and the generated-header
-  /// lint asserts the override), the default falls back to view_rows.
-  virtual std::vector<ViewRows> publish_snapshot() {
-    std::vector<ViewRows> out;
-    for (const std::string& v : view_names()) {
-      out.push_back(ViewRows{v, view_rows(v)});
-    }
-    return out;
-  }
-
-  /// Vectorized-selection instrumentation (bench counters; see
-  /// dbt_select.h). Programs compiled without a selection prologue report 0.
-  /// `selected_rows` counts rows surviving a selection pass; `probe_runs`
-  /// counts run-batched map commits (one per distinct key run).
-  virtual uint64_t selected_rows() const { return 0; }
-  virtual uint64_t probe_runs() const { return 0; }
 
   /// Total live entries across aggregate maps.
   virtual size_t total_map_entries() const = 0;

@@ -99,7 +99,6 @@ class Engine : public StreamEngine, public MapStore {
 
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
   const ProfileStats& profile() const { return profile_; }
-  std::string Profile() const override { return profile_.ToString(); }
   void ResetProfile() { profile_ = ProfileStats(); }
 
   // MapStore:

@@ -681,36 +681,4 @@ std::vector<std::string> CompiledProgramEngine::ViewNames() const {
   return program_->view_names();
 }
 
-Status CompiledProgramEngine::RenderViews(
-    const std::vector<std::string>& names, std::vector<ViewRendering>* out) {
-  // One pass over the program's maps via the generated snapshot-publish
-  // hook, instead of a string-dispatched view_rows call per view.
-  std::vector<dbt::ViewRows> snap = program_->publish_snapshot();
-  out->reserve(names.size());
-  for (const std::string& name : names) {
-    dbt::ViewRows* found = nullptr;
-    for (dbt::ViewRows& vr : snap) {
-      if (vr.name == name) {
-        found = &vr;
-        break;
-      }
-    }
-    if (found == nullptr) {
-      return Status::NotFound("unknown view: " + name);
-    }
-    ViewRendering rendering;
-    rendering.name = name;
-    rendering.result.column_names = program_->view_column_names(name);
-    rendering.result.rows.reserve(found->rows.size());
-    for (std::vector<dbt::Value>& row : found->rows) {
-      Row r;
-      r.reserve(row.size());
-      for (const dbt::Value& v : row) r.push_back(FromDbtValue(v));
-      rendering.result.rows.emplace_back(std::move(r), 1);
-    }
-    out->push_back(std::move(rendering));
-  }
-  return Status::OK();
-}
-
 }  // namespace dbtoaster::runtime

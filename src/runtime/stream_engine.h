@@ -337,9 +337,6 @@ class StreamEngine {
   /// maps), for the memory bench.
   virtual size_t StateBytes() const = 0;
 
-  /// Human-readable execution statistics; empty when the engine keeps none.
-  virtual std::string Profile() const { return std::string(); }
-
   /// Serialize the engine's dynamic state (base tables, aggregate maps,
   /// multisets) into `out` / restore it from `in`. Engines that implement
   /// state capture override both; the default reports kNotSupported.
@@ -365,13 +362,6 @@ class StreamEngine {
     return DoApplyBatch(EventBatch::Of(event));
   }
 
-  /// Render each named view for a snapshot publish (writer thread, engine
-  /// quiescent). The default calls View() per name; engines with a cheaper
-  /// one-pass rendering (generated programs' publish_snapshot hook)
-  /// override it.
-  virtual Status RenderViews(const std::vector<std::string>& names,
-                             std::vector<ViewRendering>* out);
-
   /// Schema registration for the boundary validator (typically from the
   /// engine's constructor).
   void RegisterIngestCatalog(const Catalog& catalog) {
@@ -383,6 +373,11 @@ class StreamEngine {
   }
 
  private:
+  /// Render each named view through View() for a snapshot publish (writer
+  /// thread, engine quiescent).
+  Status RenderViews(const std::vector<std::string>& names,
+                     std::vector<ViewRendering>* out);
+
   /// Render, diff against the previous rendering, and publish the new
   /// snapshot + per-epoch delta (writer thread, after a successful ingest).
   Status PublishSnapshot();
@@ -459,11 +454,6 @@ class CompiledProgramEngine final : public StreamEngine {
 
  protected:
   Status DoApplyBatch(EventBatch&& batch) override;
-
-  /// Snapshot publishing goes through the generated program's one-pass
-  /// publish_snapshot hook instead of per-view string dispatch.
-  Status RenderViews(const std::vector<std::string>& names,
-                     std::vector<ViewRendering>* out) override;
 
  private:
   dbt::StreamProgram* program_;

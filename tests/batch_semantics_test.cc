@@ -567,7 +567,7 @@ TEST(DbtStreamProgram, OnBatchReceivesGroupwiseBatches) {
 }
 
 // A direct embedded caller of a generated on_batch: a column whose lane
-// differs from the schema type is converted exactly as the scalar on_<R>
+// differs from the schema type is converted exactly as the typed on_<R>
 // arguments would be, and a group of the wrong arity is skipped (0 events
 // handled) rather than read out of bounds.
 TEST(DbtStreamProgram, GeneratedOnBatchConvertsLanesAndSkipsWrongArity) {

@@ -57,13 +57,55 @@ TEST(CodegenStructure, Fig2HandlersMatchPaperShape) {
   EXPECT_NE(src.find(", const int64_t sign)"), std::string::npos);
   EXPECT_NE(src.find("dbt::Map<std::tuple<int64_t, int64_t>, int64_t> m5_"),
             std::string::npos);
-  // Inlined straight-line code: the q update is a single map lookup.
-  EXPECT_NE(src.find("m1_.get(std::make_tuple(arg_b))"), std::string::npos);
+  // Inlined straight-line code: the q update is a single map lookup on the
+  // event's B lane (R is vectorizable, so its one body is vec_R).
+  EXPECT_NE(src.find("m1_.get(std::make_tuple(c1[i]))"), std::string::npos);
   // The foreach from the paper's on_insert_R: slice iteration over q1,
   // compiled through a secondary slice index (the paper's nested-map
   // layout, q_1_bc[b][c]).
   EXPECT_NE(src.find("dbt::SliceIndex<"), std::string::npos);
   EXPECT_NE(src.find(".lookup(std::make_tuple("), std::string::npos);
+}
+
+/// Text of the generated member function whose signature starts with
+/// `head`, up to its closing brace at member indentation.
+std::string MemberBody(const std::string& src, const std::string& head) {
+  const size_t at = src.find(head);
+  if (at == std::string::npos) return "";
+  const size_t eol = src.find('\n', at);
+  if (src.compare(eol - 1, 1, "}") == 0) return src.substr(at, eol - at);
+  const size_t end = src.find("\n  }\n", at);
+  if (end == std::string::npos) return "";
+  return src.substr(at, end - at + 4);
+}
+
+TEST(CodegenStructure, VectorizableRelationHasOneTriggerBody) {
+  Catalog cat;
+  (void)cat.AddRelation(Schema("R", {{"A", Type::kInt}, {"B", Type::kInt}}));
+  auto program = compiler::CompileQuery(
+      cat, "q", "select B, sum(A) from R where A > 3 group by B");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  auto code = codegen::GenerateCpp(program.value());
+  ASSERT_TRUE(code.ok()) << code.status().ToString();
+  const std::string& src = code.value();
+
+  // on_R is the embedded entry point and only forwards one event to vec_R
+  // as a selection of one row; the delta statements live in vec_R alone.
+  EXPECT_EQ(MemberBody(src, "void on_R("),
+            "void on_R([[maybe_unused]] int64_t arg_a, [[maybe_unused]] "
+            "int64_t arg_b, const int64_t sign) { vec_R(&arg_a, &arg_b, "
+            "nullptr, 1, sign); }");
+  const size_t vec_at = src.find("void vec_R(");
+  ASSERT_NE(vec_at, std::string::npos);
+  EXPECT_EQ(src.find("void vec_R(", vec_at + 1), std::string::npos);
+
+  // on_batch_R sends every group to vec_R: no group-size switch and no
+  // per-row loop over on_R.
+  const std::string batch = MemberBody(src, "size_t on_batch_R(");
+  ASSERT_FALSE(batch.empty());
+  EXPECT_NE(batch.find("vec_R(c0, c1, nullptr, "), std::string::npos);
+  EXPECT_EQ(batch.find("n > 1"), std::string::npos);
+  EXPECT_EQ(batch.find("on_R("), std::string::npos);
 }
 
 TEST(CodegenStructure, RejectsNothingInSupportedFragment) {

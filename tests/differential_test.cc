@@ -9,9 +9,10 @@
 // paths are exercised.
 //
 // For bench queries the generated program runs twice: once fed whole
-// batches (columnar groups through the vectorized handlers) and once fed
-// each batch's events one at a time in group order (toaster-c-per-event,
-// through the scalar on_<R> handlers). The two views must match byte for
+// batches and once fed each batch's events one at a time in group order
+// (toaster-c-per-event). Each relation has one trigger body, so a
+// vectorizable relation replays per event through vec_<R> with one row and
+// the rest through the scalar on_<R>. The two views must match byte for
 // byte — same arrival order, so not even float tolerance applies.
 //
 // Engines that reject a query (ivm1 on LEFT JOIN, for example) are excluded
@@ -234,9 +235,9 @@ void RunDifferential(const Catalog& catalog, const std::string& sql,
     engines.push_back(std::move(e));
 
     // The same generated program again, fed every event as a batch of one
-    // in group order: single-row groups take the scalar on_<R> handler
-    // where whole batches take the vectorized and sharded ones. Identical
-    // arrival order, so the two views must agree exactly (see
+    // in group order: single-row groups run the relation's one trigger
+    // body with one row, where whole batches also take the sharded path.
+    // Identical arrival order, so the two views must agree exactly (see
     // ExpectIdenticalView below).
     std::unique_ptr<dbt::StreamProgram> single_program =
         MakeGenerated(generated_name);
@@ -411,6 +412,10 @@ struct MicroCase {
   const char* label;
   const char* sql;
 };
+
+// Without a printer gtest shows the two pointers as raw bytes, and CTest
+// bakes those (ASLR-dependent) bytes into every discovered test name.
+void PrintTo(const MicroCase& c, std::ostream* os) { *os << c.label; }
 
 class MicroQueryDifferential : public ::testing::TestWithParam<MicroCase> {};
 

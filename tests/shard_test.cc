@@ -304,8 +304,8 @@ std::string ReplayedView(StreamEngine* engine,
 // Batched ingestion must equal per-event replay at every thread count,
 // with thread-invariant retained state. Covers the dbtc-generated sharded
 // vectorized path (batch 512 crosses dbt::kShardBatchCutoff, so the
-// selection prologue runs after the shard split) against the scalar on_<R>
-// handler a batch of one takes, and the interpreted engine's
+// selection prologue runs after the shard split) against the one-row calls
+// a batch of one makes, and the interpreted engine's
 // SelectionClasses skip on a pred-guarded grouped aggregate, below and
 // above the cutoff.
 TEST(ShardDeterminism, BatchedEqualsPerEventReplayAcrossThreads) {

@@ -10,22 +10,23 @@
 #   2. no raw `new` — generated programs own no heap allocations directly;
 #      everything lives in value-semantic stores.
 #   3. per-relation handler completeness — every relation dispatched in
-#      on_batch() has both its scalar handler (on_REL) and its batch
+#      on_batch() has both its embedded entry point (on_REL) and its batch
 #      handler (on_batch_REL).
 #   4. selection loops are kernel-only — the selection prologue of a vec_
 #      handler may call dbt::Sel* kernels but must never compare strings
 #      per row (== "...", dbt::Like, strcmp); string guards go through the
 #      SelStrEq/SelStrNe kernels.
 #   5. vectorized statement phases iterate selection vectors — a vec_
-#      handler body must never materialize g.row() or rescan the raw group
-#      0..n; every row loop walks a sel*/srt* index vector.
+#      handler body (from its signature to its closing brace) must never
+#      materialize g.row() or rescan the raw group 0..n; every row loop
+#      walks a sel*/srt* index vector.
 #   6. durability surface — every generated program overrides save_state()/
 #      load_state() (and publishes relation_schemas() for the ingest
 #      validator), so compiled programs participate in checkpoint/restore
 #      like the interpreted engines.
-#   7. serving surface — every generated program overrides
-#      publish_snapshot(), the one-pass rendering hook the concurrent
-#      snapshot-serving tier uses to publish epoch-stamped views.
+#   7. one trigger body per relation — a relation with a vec_REL body has
+#      an on_REL that only forwards one event to it, so the delta
+#      statements are generated once.
 #   8. one ingest path — no row shim (g.row()), no per-event string
 #      dispatcher (on_event()) and no process-wide selection switch
 #      (SelectionEnabled); batches reach the typed handlers only through
@@ -76,7 +77,7 @@ for q in $QUERIES; do
   # Vectorized statement phases iterate sel*/srt* index vectors; a g.row()
   # materialization or a raw 0..n rescan inside a vec_ handler means the
   # selection vector was computed and then ignored.
-  vecbody=$(awk '/void vec_/,/probe_runs_\.fetch_add/' "$hpp")
+  vecbody=$(awk '/void vec_/,/^  }$/' "$hpp")
   if [ -n "$vecbody" ] && \
      echo "$vecbody" | grep -nE 'g\.row\(|for \(size_t i = 0; i < n;' >&2; then
     echo "lint_gen: FAIL — $q.hpp vec handler iterates the raw group instead of a selection vector" >&2
@@ -109,12 +110,16 @@ for q in $QUERIES; do
     fi
   done
 
-  # Serving surface: the snapshot-publish hook the concurrent view-serving
-  # tier renders published epochs through.
-  if ! grep -qF "publish_snapshot(" "$hpp"; then
-    echo "lint_gen: FAIL — $q.hpp is missing the publish_snapshot() serving hook" >&2
-    fail=1
-  fi
+  # One trigger body per relation: on_REL beside a vec_REL is a one-line
+  # forwarder of a single-row selection.
+  for rel in $(grep -oE 'void vec_[A-Za-z0-9_]+\(' "$hpp" | \
+               sed 's/void vec_\(.*\)(/\1/' | sort -u); do
+    if ! grep -qE "void on_${rel}\(.*\) \{ vec_${rel}\([^;]*nullptr, 1, sign\); \}$" \
+         "$hpp"; then
+      echo "lint_gen: FAIL — $q.hpp has vec_${rel} but on_${rel} is not a one-line forwarder to it" >&2
+      fail=1
+    fi
+  done
 
   # One ingest path: batches go through on_batch and dbt::Lane only.
   if grep -nE 'g\.row\(|on_event\(|SelectionEnabled' "$hpp" >&2; then
