@@ -18,6 +18,7 @@ using compiler::Program;
 using compiler::Statement;
 using compiler::Trigger;
 using compiler::ViewColumn;
+using compiler::ViewDirtySources;
 using compiler::ViewSpec;
 using ring::Expr;
 using ring::ExprPtr;
@@ -211,6 +212,26 @@ class Generator {
   std::string Indent() const { return std::string(indent_ * 2, ' '); }
   void Line(std::string* out, const std::string& s) {
     *out += Indent() + s + "\n";
+  }
+  /// head + items joined by ", " + tail, wrapped onto continuation lines
+  /// past ~100 columns (store lists of wide programs run to 100+ names).
+  void ListLine(std::string* out, const std::string& head,
+                const std::vector<std::string>& items,
+                const std::string& tail) {
+    *out += Indent() + head;
+    size_t col = Indent().size() + head.size();
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i > 0 && col + items[i].size() > 100) {
+        *out += ",\n" + Indent() + "    ";
+        col = Indent().size() + 4;
+      } else if (i > 0) {
+        *out += ", ";
+        col += 2;
+      }
+      *out += items[i];
+      col += items[i].size();
+    }
+    *out += tail + "\n";
   }
 
   // ---- terms -------------------------------------------------------------
@@ -908,6 +929,11 @@ class Generator {
     return worthwhile;
   }
   Status EmitInitFunctions(std::string* out);
+  /// The domain argument of dbt::Render/dbt::Groups: the domain map's
+  /// address, or nullptr for a global view.
+  static std::string DomainArg(const ViewSpec& view) {
+    return view.key_vars.empty() ? "nullptr" : "&" + view.domain_map + "_";
+  }
   Status EmitViews(std::string* out);
   Status EmitViewShim(std::string* out);
   Status EmitBatchHandlers(std::string* out);
@@ -1974,44 +2000,40 @@ Status Generator::EmitVecTrigger(const tir::Trigger& t, std::string* out) {
   return Status::OK();
 }
 
+/// One per-group renderer per view, row_<v>(group key, &row): false when
+/// the group is gone (its domain count is 0 or HAVING fails). view_<v>()
+/// walks the domain through it, and a view whose reads all sit at its group
+/// key (compiler::ViewDirtySources) also gets a GroupLog that its sources'
+/// writes fill while it is served; view_groups renders just those groups.
 Status Generator::EmitViews(std::string* out) {
+  const std::string& cls = opts_.class_name;
   for (const compiler::ViewSpec& view : p_.views) {
-    // Row type: key columns are part of `columns` already.
+    const char* name = view.name.c_str();
     std::vector<std::string> col_types;
     for (const auto& c : view.columns) col_types.emplace_back(CppType(c.type));
-    std::string row_type = "std::tuple<" + Join(col_types, ", ") + ">";
-    Line(out, StrFormat("std::vector<%s> view_%s() {", row_type.c_str(),
-                        view.name.c_str()));
+    const std::string row_type = "std::tuple<" + Join(col_types, ", ") + ">";
+    const std::string key_type = KeyType(view.key_types);
+    if (ViewDirtySources(p_, view).has_value()) {
+      Line(out, StrFormat("dbt::GroupLog<%s> gl_%s_;  // touched while served",
+                          key_type.c_str(), name));
+    }
+    Line(out, StrFormat("bool row_%s([[maybe_unused]] const %s& gk, %s* row) {",
+                        name, key_type.c_str(), row_type.c_str()));
     ++indent_;
-    Line(out, StrFormat("std::vector<%s> out;", row_type.c_str()));
-
-    auto emit_columns = [&](const Env& env,
-                            const std::string& key_expr) -> Status {
-      std::vector<std::string> cols;
-      for (const auto& c : view.columns) {
-        if (c.kind == compiler::ViewColumn::Kind::kTerm) {
-          DBT_ASSIGN_OR_RETURN(std::string v, TermCpp(c.value, env));
-          cols.push_back(StrFormat("static_cast<%s>(%s)", CppType(c.type),
-                                   v.c_str()));
-        } else {
-          std::string tmp = Fresh("x");
-          const MapDecl* decl = decls_.at(c.extreme_map);
-          Line(out, StrFormat("%s %s{};", CppType(c.type), tmp.c_str()));
-          Line(out, StrFormat("%s_.%s(%s, &%s);", c.extreme_map.c_str(),
-                              decl->extreme_kind == sql::AggKind::kMin
-                                  ? "min"
-                                  : "max",
-                              key_expr.c_str(), tmp.c_str()));
-          cols.push_back(tmp);
-        }
-      }
-      Line(out, StrFormat("out.emplace_back(%s);", Join(cols, ", ").c_str()));
-      return Status::OK();
-    };
-
-    // HAVING: accumulate the guard indicator; zero suppresses the row.
-    auto emit_having_guard = [&](const Env& env) -> Result<std::string> {
-      if (view.having == nullptr) return std::string();
+    Env env;
+    env.store_flag = "true";
+    if (!view.key_vars.empty()) {
+      Line(out, StrFormat("if (%s_.get(gk) == 0) return false;",
+                          view.domain_map.c_str()));
+    }
+    for (size_t i = 0; i < view.key_vars.size(); ++i) {
+      std::string k = Fresh("k");
+      Line(out, StrFormat("[[maybe_unused]] const auto %s = std::get<%zu>(gk);",
+                          k.c_str(), i));
+      env.vars[view.key_vars[i]] = k;
+    }
+    // HAVING: accumulate the guard indicator; zero makes the group gone.
+    if (view.having != nullptr) {
       std::string acc = Fresh("hv");
       Line(out, StrFormat("int64_t %s = 0;", acc.c_str()));
       Sink sink = [&](const Env& /*e2*/, const std::string& value) -> Status {
@@ -2022,55 +2044,34 @@ Status Generator::EmitViews(std::string* out) {
         return Status::OK();
       };
       DBT_RETURN_IF_ERROR(EmitContribs(view.having, env, out, sink));
-      return acc;
-    };
-
-    if (view.key_vars.empty()) {
-      Env env;
-      env.store_flag = "true";
-      DBT_ASSIGN_OR_RETURN(std::string guard, emit_having_guard(env));
-      if (!guard.empty()) {
-        Line(out, StrFormat("if (%s != 0) {", guard.c_str()));
-        ++indent_;
-      }
-      DBT_RETURN_IF_ERROR(emit_columns(env, "std::tuple<>{}"));
-      if (!guard.empty()) {
-        --indent_;
-        Line(out, "}");
-      }
-    } else {
-      if (plan_.ok) {
-        // Sharded domain: walk the partitions in fixed logical order, so
-        // materialization is identical at every thread count.
-        Line(out, "for (size_t shard = 0; shard < dbt::kNumShards; ++shard)");
-        Line(out, StrFormat("for (const auto& dk : %s_.part(shard).entries()) {",
-                            view.domain_map.c_str()));
-      } else {
-        Line(out, StrFormat("for (const auto& dk : %s_.entries()) {",
-                            view.domain_map.c_str()));
-      }
-      ++indent_;
-      Line(out, "if (dk.second == 0) continue;");
-      Env env;
-      env.store_flag = "true";
-      for (size_t i = 0; i < view.key_vars.size(); ++i) {
-        std::string name = Fresh("k");
-        Line(out, StrFormat("[[maybe_unused]] const auto %s = "
-                            "std::get<%zu>(dk.first);",
-                            name.c_str(), i));
-        env.vars[view.key_vars[i]] = name;
-      }
-      DBT_ASSIGN_OR_RETURN(std::string guard, emit_having_guard(env));
-      if (!guard.empty()) {
-        Line(out, StrFormat("if (%s == 0) continue;", guard.c_str()));
-      }
-      DBT_RETURN_IF_ERROR(emit_columns(env, "dk.first"));
-      --indent_;
-      Line(out, "}");
+      Line(out, StrFormat("if (%s == 0) return false;", acc.c_str()));
     }
-    Line(out, "return out;");
+    std::vector<std::string> cols;
+    for (const auto& c : view.columns) {
+      if (c.kind == compiler::ViewColumn::Kind::kTerm) {
+        DBT_ASSIGN_OR_RETURN(std::string v, TermCpp(c.value, env));
+        cols.push_back(
+            StrFormat("static_cast<%s>(%s)", CppType(c.type), v.c_str()));
+      } else {
+        std::string tmp = Fresh("x");
+        const MapDecl* decl = decls_.at(c.extreme_map);
+        Line(out, StrFormat("%s %s{};", CppType(c.type), tmp.c_str()));
+        Line(out, StrFormat("%s_.%s(gk, &%s);", c.extreme_map.c_str(),
+                            decl->extreme_kind == sql::AggKind::kMin ? "min"
+                                                                     : "max",
+                            tmp.c_str()));
+        cols.push_back(tmp);
+      }
+    }
+    Line(out, StrFormat("*row = std::make_tuple(%s);",
+                        Join(cols, ", ").c_str()));
+    Line(out, "return true;");
     --indent_;
     Line(out, "}");
+    Line(out, StrFormat("std::vector<%s> view_%s() { return dbt::Render(this, "
+                        "&%s::row_%s, %s); }",
+                        row_type.c_str(), name, cls.c_str(), name,
+                        DomainArg(view).c_str()));
   }
   return Status::OK();
 }
@@ -2177,35 +2178,23 @@ Status Generator::EmitDispatcher(std::string* out) {
   --indent_;
   Line(out, "}");
 
-  // Memory accounting for the bakeoff's memory bench.
-  Line(out, "size_t total_map_entries() const override {");
-  ++indent_;
-  Line(out, "size_t n = 0;");
-  for (const MapDecl& m : p_.maps) {
-    Line(out, StrFormat("n += %s_.size();", m.name.c_str()));
-  }
-  Line(out, "return n;");
-  --indent_;
-  Line(out, "}");
-
-  // True retained bytes: each container reports its slab-resident footprint
-  // (probe arrays, recycled chunks) plus spilled string payloads.
-  Line(out, "size_t state_bytes() const override {");
-  ++indent_;
-  Line(out, "size_t bytes = 0;");
+  // Memory accounting for the bakeoff's memory bench. Each container
+  // reports its slab-resident footprint (probe arrays, recycled chunks) plus
+  // spilled string payloads.
+  std::vector<std::string> maps, stores;
   for (const std::string& rel : rels_) {
-    if (live_rels_.count(rel) == 0) continue;
-    Line(out, StrFormat("bytes += rel_%s_.bytes();", rel.c_str()));
+    if (live_rels_.count(rel) != 0) stores.push_back(RelMapName(rel));
   }
-  for (const MapDecl& m : p_.maps) {
-    Line(out, StrFormat("bytes += %s_.bytes();", m.name.c_str()));
-  }
+  for (const MapDecl& m : p_.maps) maps.push_back(m.name + "_");
+  stores.insert(stores.end(), maps.begin(), maps.end());
   for (size_t i = 0; i < index_reqs_.size(); ++i) {
-    Line(out, StrFormat("bytes += idx%zu_.bytes();", i));
+    stores.push_back(StrFormat("idx%zu_", i));
   }
-  Line(out, "return bytes;");
-  --indent_;
-  Line(out, "}");
+  ListLine(out, "size_t total_map_entries() const override { return "
+                "dbt::SumSizes(",
+           maps, "); }");
+  ListLine(out, "size_t state_bytes() const override { return dbt::SumBytes(",
+           stores, "); }");
   return Status::OK();
 }
 
@@ -2241,23 +2230,46 @@ Status Generator::EmitViewShim(std::string* out) {
        "std::vector<std::vector<dbt::Value>> view_rows(const std::string& "
        "view) override {");
   ++indent_;
-  Line(out, "std::vector<std::vector<dbt::Value>> out;");
   for (const compiler::ViewSpec& v : p_.views) {
-    Line(out, StrFormat("if (view == %s) {", EscapeString(v.name).c_str()));
-    ++indent_;
-    Line(out, StrFormat("for (const auto& r : view_%s()) {", v.name.c_str()));
-    ++indent_;
-    std::vector<std::string> cells;
-    for (size_t i = 0; i < v.columns.size(); ++i) {
-      cells.push_back(StrFormat("dbt::Value{std::get<%zu>(r)}", i));
-    }
-    Line(out, StrFormat("out.push_back({%s});", Join(cells, ", ").c_str()));
-    --indent_;
-    Line(out, "}");
-    --indent_;
-    Line(out, "}");
+    Line(out, StrFormat("if (view == %s) return dbt::ToValueRows(view_%s());",
+                        EscapeString(v.name).c_str(), v.name.c_str()));
   }
-  Line(out, "return out;");
+  Line(out, "return {};");
+  --indent_;
+  Line(out, "}");
+
+  // Incremental serving over the views whose dirty sources are known.
+  std::vector<std::pair<const compiler::ViewSpec*, std::vector<std::string>>>
+      tracked;
+  for (const compiler::ViewSpec& v : p_.views) {
+    if (auto sources = ViewDirtySources(p_, v)) {
+      tracked.emplace_back(&v, *sources);
+    }
+  }
+  if (tracked.empty()) return Status::OK();
+  Line(out, "bool track_view(const std::string& view, bool on) override {");
+  ++indent_;
+  for (const auto& [v, sources] : tracked) {
+    std::string stores;
+    for (const std::string& m : sources) stores += ", " + m + "_";
+    Line(out, StrFormat("if (view == %s) return dbt::Track(gl_%s_, on%s);",
+                        EscapeString(v->name).c_str(), v->name.c_str(),
+                        stores.c_str()));
+  }
+  Line(out, "return false;");
+  --indent_;
+  Line(out, "}");
+  Line(out, "bool view_groups(const std::string& view, bool all, "
+            "dbt::GroupSink& sink) override {");
+  ++indent_;
+  for (const auto& [v, sources] : tracked) {
+    Line(out, StrFormat("if (view == %s) return dbt::Groups(this, &%s::row_%s, "
+                        "gl_%s_, %s, all, sink);",
+                        EscapeString(v->name).c_str(),
+                        opts_.class_name.c_str(), v->name.c_str(),
+                        v->name.c_str(), DomainArg(*v).c_str()));
+  }
+  Line(out, "return false;");
   --indent_;
   Line(out, "}");
   return Status::OK();
@@ -2405,19 +2417,15 @@ Result<std::string> Generator::Run() {
   Line(&body, "bool save_state(dbt::Ser& ser) const override {");
   ++indent_;
   Line(&body, "ser.u32(1u);  // program state format version");
-  for (const std::string& store : state_stores) {
-    Line(&body, StrFormat("%s.save(ser);", store.c_str()));
-  }
+  ListLine(&body, "dbt::SaveAll(ser, ", state_stores, ");");
   Line(&body, "return true;");
   --indent_;
   Line(&body, "}");
 
   Line(&body, "bool load_state(dbt::Deser& deser) override {");
   ++indent_;
-  Line(&body, "if (deser.u32() != 1u) return false;");
-  for (const std::string& store : state_stores) {
-    Line(&body, StrFormat("if (!%s.load(deser)) return false;", store.c_str()));
-  }
+  ListLine(&body, "if (deser.u32() != 1u || !dbt::LoadAll(deser, ",
+           state_stores, ")) return false;");
   for (size_t i = 0; i < index_reqs_.size(); ++i) {
     const IndexReq& req = index_reqs_[i];
     std::vector<std::string> gets;

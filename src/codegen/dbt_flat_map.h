@@ -758,6 +758,12 @@ class Sharded {
   void clear() {
     for (M& p : parts_) p.clear();
   }
+  /// Serving: each partition records its writes into its own shard's list
+  /// of `log` (see dbt::GroupLog), so pool workers never share a list.
+  template <typename Log>
+  void track(Log& log, bool on) {
+    for (size_t s = 0; s < kParts; ++s) parts_[s].track_list(&log.lists[s], on);
+  }
   size_t size() const {
     size_t n = 0;
     for (const M& p : parts_) n += p.size();

@@ -112,11 +112,62 @@ enum class Upd : uint8_t {
   kErased = 2,     ///< entry was removed (or set to zero)
 };
 
+/// Keys one store wrote while a view reading it is served. `reset` marks a
+/// clear or reload of the store: which keys changed is then unknown.
+template <typename K>
+struct KeyList {
+  std::vector<K> keys;
+  bool reset = false;
+};
+
+/// Touched group keys of one served view, filled by the mutations of the
+/// view's dirty sources (compiler::ViewDirtySources). One KeyList per
+/// logical shard, so pool workers writing distinct dbt::Sharded partitions
+/// never share a list (unsharded stores write list 0); drained in shard
+/// order, so the touched order is the same at every thread count.
+template <typename K>
+struct GroupLog {
+  KeyList<K> lists[kNumShards];
+  FlatSet<K, TupleHash> seen;  ///< dedup scratch of view_groups
+  bool on = false;
+};
+
+/// The serving hook of a mutable store: while some view reading it is
+/// served, every written key is appended to that view's KeyList. With no
+/// view served the cost is one empty-vector test per write.
+template <typename K>
+class Tracked {
+ public:
+  /// Record writes into `log` (on) or stop (off); unsharded stores use
+  /// shard list 0.
+  void track(GroupLog<K>& log, bool on) { track_list(&log.lists[0], on); }
+  void track_list(KeyList<K>* list, bool on) {
+    for (size_t i = 0; i < logs_.size(); ++i) {
+      if (logs_[i] != list) continue;
+      if (!on) logs_.erase(logs_.begin() + static_cast<long>(i));
+      return;
+    }
+    if (on) logs_.push_back(list);
+  }
+
+ protected:
+  void touched(const K& k) {
+    if (logs_.empty()) return;
+    for (KeyList<K>* l : logs_) l->keys.push_back(k);
+  }
+  void touched_all() {
+    for (KeyList<K>* l : logs_) l->reset = true;
+  }
+
+ private:
+  std::vector<KeyList<K>*> logs_;
+};
+
 /// Aggregate map: composite key -> value; integer entries reaching zero are
 /// erased so the live key set tracks the aggregate's support. Backed by the
 /// robin-hood FlatMap with pooled storage (see dbt_flat_map.h).
 template <typename K, typename V>
-class Map {
+class Map : public Tracked<K> {
  public:
   using Store = FlatMap<K, V, TupleHash>;
 
@@ -131,10 +182,14 @@ class Map {
   /// key run and accumulates through the pointer; valid only until the next
   /// insertion into this map. Double-valued entries are never erased by
   /// add(), so `*slot += delta` per row is exactly the add() sequence.
-  V* find_value(const K& k) { return data_.find(k); }
+  V* find_value(const K& k) {
+    this->touched(k);
+    return data_.find(k);
+  }
 
   Upd add(const K& k, V delta) {
     if (delta == V{}) return Upd::kUnchanged;
+    this->touched(k);
     auto [i, inserted] = data_.try_emplace(k, delta);
     if (inserted) return Upd::kLive;
     V& val = data_.value_at(i);
@@ -149,6 +204,7 @@ class Map {
   }
 
   Upd set(const K& k, V v) {
+    this->touched(k);
     if (v == V{}) {
       data_.erase(k);
       return Upd::kErased;
@@ -158,7 +214,10 @@ class Map {
     return Upd::kLive;
   }
 
-  void clear() { data_.clear(); }
+  void clear() {
+    this->touched_all();
+    data_.clear();
+  }
   size_t size() const { return data_.size(); }
   const Store& entries() const { return data_; }
 
@@ -185,7 +244,7 @@ class Map {
     }
   }
   bool load(Deser& d) {
-    data_.clear();
+    clear();
     const uint64_t n = d.u64();
     for (uint64_t i = 0; i < n && d.ok(); ++i) {
       K k{};
@@ -260,7 +319,7 @@ class SliceIndex {
 /// tracks its live (positive-count) value count, so groups holding only
 /// debts answer min/max without scanning.
 template <typename K, typename V>
-class ExtremeMap {
+class ExtremeMap : public Tracked<K> {
  public:
   void add(const K& k, const V& v) { Bump(k, v, +1); }
   void remove(const K& k, const V& v) { Bump(k, v, -1); }
@@ -307,6 +366,7 @@ class ExtremeMap {
     }
   }
   bool load(Deser& d) {
+    this->touched_all();
     data_.clear();
     const uint64_t groups = d.u64();
     for (uint64_t g = 0; g < groups && d.ok(); ++g) {
@@ -342,6 +402,7 @@ class ExtremeMap {
   };
 
   void Bump(const K& k, const V& v, int64_t delta) {
+    this->touched(k);
     auto [i, inserted] = data_.try_emplace(k);
     Group& g = data_.value_at(i);
     auto [it, vnew] = g.counts.try_emplace(v, 0);
@@ -567,6 +628,124 @@ struct RelationSchema {
   std::vector<EventColumn::Tag> lanes;
 };
 
+/// Whole-state helpers over a program's stores, in member order.
+template <typename... S>
+size_t SumSizes(const S&... s) {
+  return (size_t{0} + ... + s.size());
+}
+template <typename... S>
+size_t SumBytes(const S&... s) {
+  return (size_t{0} + ... + s.bytes());
+}
+template <typename... S>
+void SaveAll(Ser& ser, const S&... s) {
+  (s.save(ser), ...);
+}
+/// Stops at the first store that fails to load.
+template <typename... S>
+bool LoadAll(Deser& deser, S&... s) {
+  return (s.load(deser) && ...);
+}
+
+/// Receives the groups StreamProgram::view_groups reports at the dynamic
+/// boundary: the group key and its current row, or nullptr when the group
+/// is gone (empty domain, HAVING false). Both vectors are reused between
+/// calls.
+class GroupSink {
+ public:
+  virtual ~GroupSink() = default;
+  virtual void group(const std::vector<Value>& key,
+                     const std::vector<Value>* row) = 0;
+};
+
+/// A typed tuple as dynamic values, into `out` (its storage is reused).
+template <typename T>
+void AssignValues(const T& tuple, std::vector<Value>* out) {
+  out->clear();
+  std::apply([&](const auto&... v) { (out->emplace_back(v), ...); }, tuple);
+}
+
+/// view_rows body: every row of a typed view.
+template <typename R>
+std::vector<std::vector<Value>> ToValueRows(const std::vector<R>& rows) {
+  std::vector<std::vector<Value>> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) AssignValues(rows[i], &out[i]);
+  return out;
+}
+
+/// Every present group of a view, in domain order: `row_of(key, &row)` is
+/// the view's per-group renderer (false: gone), `dom` its domain map, or
+/// nullptr for a global view (one group, the empty key).
+template <typename P, typename K, typename R, typename D, typename F>
+void ForEachGroup(P* p, bool (P::*row_of)(const K&, R*), const D& dom,
+                  F&& f) {
+  R row{};
+  if constexpr (std::is_null_pointer_v<D>) {
+    if ((p->*row_of)(K{}, &row)) f(K{}, row);
+  } else {
+    dom->for_each([&](const K& k, const auto& count) {
+      if (count != 0 && (p->*row_of)(k, &row)) f(k, row);
+    });
+  }
+}
+
+/// view_<v>() body: the view's rows through its per-group renderer.
+template <typename P, typename K, typename R, typename D>
+std::vector<R> Render(P* p, bool (P::*row_of)(const K&, R*), const D& dom) {
+  std::vector<R> out;
+  ForEachGroup(p, row_of, dom, [&](const K&, const R& r) { out.push_back(r); });
+  return out;
+}
+
+/// track_view body: link (or unlink) a view's log into its dirty sources.
+template <typename K, typename... Stores>
+bool Track(GroupLog<K>& log, bool on, Stores&... stores) {
+  (stores.track(log, on), ...);
+  log.on = on;
+  for (KeyList<K>& l : log.lists) {
+    l.keys.clear();
+    l.reset = false;
+  }
+  return true;
+}
+
+/// view_groups body (see StreamProgram::view_groups): every present group
+/// (`all`), or the logged groups deduplicated in first-touch order, shard by
+/// shard, each rendered through `row_of` into `sink`. Clears the log either
+/// way.
+template <typename P, typename K, typename R, typename D>
+bool Groups(P* p, bool (P::*row_of)(const K&, R*), GroupLog<K>& log,
+            const D& dom, bool all, GroupSink& sink) {
+  if (!log.on) return false;
+  bool known = true;
+  std::vector<Value> key, row;
+  if (all) {
+    ForEachGroup(p, row_of, dom, [&](const K& k, const R& r) {
+      AssignValues(k, &key);
+      AssignValues(r, &row);
+      sink.group(key, &row);
+    });
+  } else {
+    for (const KeyList<K>& l : log.lists) known = known && !l.reset;
+    R r{};
+    for (const KeyList<K>& l : log.lists) {
+      for (size_t i = 0; known && i < l.keys.size(); ++i) {
+        if (!log.seen.insert(l.keys[i])) continue;
+        const bool present = (p->*row_of)(l.keys[i], &r);
+        AssignValues(l.keys[i], &key);
+        if (present) AssignValues(r, &row);
+        sink.group(key, present ? &row : nullptr);
+      }
+    }
+  }
+  for (KeyList<K>& l : log.lists) {
+    l.keys.clear();
+    l.reset = false;
+  }
+  log.seen.clear();
+  return known;
+}
+
 /// Abstract driver interface implemented by every dbtc-generated program:
 /// the dynamic surface that makes generated code drivable through the same
 /// engine-agnostic interface as the interpreted engines (see
@@ -592,6 +771,28 @@ class StreamProgram {
   /// views); the typed view_<name>() accessors avoid the conversion.
   virtual std::vector<std::vector<Value>> view_rows(
       const std::string& view) = 0;
+
+  /// Incremental serving: start (on) or stop recording which groups of
+  /// `view` the handlers' writes touch. False for a view that reads some map
+  /// at another key than its group key: it is rendered in full.
+  virtual bool track_view(const std::string& view, bool on) {
+    (void)view;
+    (void)on;
+    return false;
+  }
+
+  /// A tracked view's groups touched since the last call (all = false), or
+  /// every present group (all = true), with their current rows; forgets the
+  /// touched set. False when that set is unknown (a store was cleared by a
+  /// re-evaluation statement or reloaded by load_state) or the view is not
+  /// tracked: the caller renders the view in full.
+  virtual bool view_groups(const std::string& view, bool all,
+                           GroupSink& sink) {
+    (void)view;
+    (void)all;
+    (void)sink;
+    return false;
+  }
 
   /// Total live entries across aggregate maps.
   virtual size_t total_map_entries() const = 0;

@@ -1,6 +1,7 @@
 #include "src/compiler/program.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/str.h"
 
@@ -81,6 +82,77 @@ const Trigger* Program::FindTrigger(const std::string& relation,
     if (t.relation == relation && t.event == kind) return &t;
   }
   return nullptr;
+}
+
+namespace {
+
+/// Adds the maps `t` reads to `out`; false when a read is not at exactly
+/// `key_vars`.
+bool TermReadsAtKey(const ring::TermPtr& t,
+                    const std::vector<std::string>& key_vars,
+                    std::set<std::string>* out) {
+  if (t == nullptr) return true;
+  if (t->kind == ring::Term::Kind::kMapRead) {
+    if (t->args.size() != key_vars.size()) return false;
+    for (size_t i = 0; i < key_vars.size(); ++i) {
+      if (!t->args[i]->IsVar() || t->args[i]->var != key_vars[i]) return false;
+    }
+    out->insert(t->map_name);
+    return true;
+  }
+  return TermReadsAtKey(t->lhs, key_vars, out) &&
+         TermReadsAtKey(t->rhs, key_vars, out);
+}
+
+bool ExprReadsAtKey(const ring::ExprPtr& e,
+                    const std::vector<std::string>& key_vars,
+                    std::set<std::string>* out) {
+  if (e == nullptr) return true;
+  switch (e->kind) {
+    case ring::ExprKind::kRel:
+      return false;
+    case ring::ExprKind::kMapRef:
+      if (e->args != key_vars) return false;
+      out->insert(e->name);
+      break;
+    case ring::ExprKind::kValTerm:
+    case ring::ExprKind::kLift:
+      if (!TermReadsAtKey(e->term, key_vars, out)) return false;
+      break;
+    case ring::ExprKind::kCmp:
+      if (!TermReadsAtKey(e->cmp_lhs, key_vars, out) ||
+          !TermReadsAtKey(e->cmp_rhs, key_vars, out)) {
+        return false;
+      }
+      break;
+    default:
+      break;
+  }
+  for (const ring::ExprPtr& c : e->children) {
+    if (!ExprReadsAtKey(c, key_vars, out)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::optional<std::vector<std::string>> ViewDirtySources(
+    const Program& program, const ViewSpec& view) {
+  std::set<std::string> reads;
+  if (!view.domain_map.empty()) reads.insert(view.domain_map);
+  for (const ViewColumn& c : view.columns) {
+    if (c.kind == ViewColumn::Kind::kExtremeRead) {
+      reads.insert(c.extreme_map);
+    } else if (!TermReadsAtKey(c.value, view.key_vars, &reads)) {
+      return std::nullopt;
+    }
+  }
+  if (!ExprReadsAtKey(view.having, view.key_vars, &reads)) return std::nullopt;
+  for (const std::string& m : reads) {
+    const MapDecl* decl = program.FindMap(m);
+    if (decl == nullptr || decl->needs_init) return std::nullopt;
+  }
+  return std::vector<std::string>(reads.begin(), reads.end());
 }
 
 const ViewSpec* Program::FindView(const std::string& name) const {

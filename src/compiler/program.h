@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,19 @@ struct Program {
   /// insert/delete rows that are symmetric up to sign.
   std::string TraceTable() const;
 };
+
+/// Stores whose writes can change the rows of `view`, when the view reads
+/// every map at exactly its group key: the domain map plus each map or
+/// MIN/MAX map a column or the HAVING guard reads. A write at key k then
+/// changes group k alone, so a served view re-renders only the groups its
+/// sources' writes touched. std::nullopt when some read uses another key (a
+/// slice, a global total under a grouped view, a permuted key), scans a base
+/// relation, or hits an init-on-access map (whose reads can change without a
+/// write): such a view is rendered in full. Rendering writes only
+/// init-on-access maps, so it never logs a touch of a dirty source. Shared
+/// by both backends.
+std::optional<std::vector<std::string>> ViewDirtySources(
+    const Program& program, const ViewSpec& view);
 
 }  // namespace dbtoaster::compiler
 

@@ -225,8 +225,7 @@ Status RestoreCheckpoint(const std::string& path, StreamEngine* engine) {
                   "restore — snapshot/engine format mismatch",
                   path.c_str()));
   }
-  engine->set_epoch(epoch);
-  return Status::OK();
+  return engine->ResumeAt(epoch);
 }
 
 }  // namespace dbtoaster::runtime

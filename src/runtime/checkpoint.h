@@ -20,7 +20,8 @@
 // Status instead of silently corrupting views.
 //
 // The envelope owns the epoch: RestoreCheckpoint sets the engine's epoch
-// cursor, which the batch-log replay (src/runtime/batch_log.h) then uses
+// cursor (StreamEngine::ResumeAt, which also republishes a serving engine's
+// views), and the batch-log replay (src/runtime/batch_log.h) then uses it
 // for exactly-once recovery.
 #ifndef DBTOASTER_RUNTIME_CHECKPOINT_H_
 #define DBTOASTER_RUNTIME_CHECKPOINT_H_

@@ -218,6 +218,7 @@ const ValueMap* Engine::FindMap(const std::string& map) const {
 void Engine::ApplyMapAdd(ValueMap* target, const Row& key,
                          const Value& delta) {
   target->Add(key, delta);
+  Touched(target->name(), key);
   auto it = slice_indexes_.find(target->name());
   if (it != slice_indexes_.end()) {
     for (SliceIndex& idx : it->second) idx.Insert(key);
@@ -226,6 +227,7 @@ void Engine::ApplyMapAdd(ValueMap* target, const Row& key,
 
 void Engine::ApplyMapSet(ValueMap* target, const Row& key, Value value) {
   target->Set(key, std::move(value));
+  Touched(target->name(), key);
   auto it = slice_indexes_.find(target->name());
   if (it != slice_indexes_.end()) {
     for (SliceIndex& idx : it->second) idx.Insert(key);
@@ -385,6 +387,7 @@ Status Engine::RunReevalStatement(const Statement& stmt, const Bindings& env) {
   DBT_ASSIGN_OR_RETURN(Keyed result,
                        eval_.Eval(stmt.rhs, env, /*store_init=*/true));
   target->Clear();
+  MarkUnknown(stmt.target);
   slice_indexes_.erase(stmt.target);  // rebuilt lazily on next slice access
   if (result.vars.empty()) {
     Value sum = target->TypedZero();
@@ -430,6 +433,7 @@ Status Engine::RunExtremeStatement(const Statement& stmt,
   } else {
     target->Remove(key, v);
   }
+  Touched(stmt.target, key);
   if (trace_ != nullptr) trace_->OnStatement(stmt, 1);
   return Status::OK();
 }
@@ -889,6 +893,7 @@ Status Engine::LoadState(dbt::Deser* in) {
   // Slice indexes are derived from the maps; drop them and let the first
   // slice access rebuild from restored state.
   slice_indexes_.clear();
+  for (auto& [name, log] : group_logs_) log.unknown = true;
 
   const uint64_t ntables = in->u64();
   for (uint64_t t = 0; t < ntables && in->ok(); ++t) {
@@ -965,6 +970,56 @@ std::vector<std::string> Engine::ViewNames() const {
   return names;
 }
 
+Result<std::optional<Row>> Engine::RenderGroup(
+    const compiler::ViewSpec& view, const Row& key) {
+  struct Resume {
+    bool* flag;
+    bool was;
+    ~Resume() { *flag = was; }
+  } resume{&track_writes_, track_writes_};
+  track_writes_ = false;
+
+  Bindings env;
+  for (size_t i = 0; i < view.key_vars.size(); ++i) {
+    env[view.key_vars[i]] = key[i];
+  }
+  if (!view.key_vars.empty()) {
+    const ValueMap* domain = value_map(view.domain_map);
+    if (domain == nullptr) {
+      return Status::Internal("missing domain map for view: " + view.name);
+    }
+    const Value count = domain->Get(key);
+    if (count.is_numeric() && count.IsZero()) return std::optional<Row>();
+  }
+  // HAVING: post-aggregation guard over the materialized group maps.
+  if (view.having != nullptr) {
+    DBT_ASSIGN_OR_RETURN(
+        Value v, eval_.EvalScalar(view.having, env, /*store_init=*/true));
+    if (v.is_numeric() && v.IsZero()) return std::optional<Row>();
+  }
+  Row row;
+  row.reserve(view.columns.size());
+  for (const compiler::ViewColumn& c : view.columns) {
+    if (c.kind == compiler::ViewColumn::Kind::kTerm) {
+      DBT_ASSIGN_OR_RETURN(Value v,
+                           eval_.EvalTerm(c.value, env, /*store_init=*/true));
+      row.push_back(std::move(v));
+      continue;
+    }
+    const ExtremeMap* em = extreme_map(c.extreme_map);
+    if (em == nullptr) {
+      return Status::Internal("missing extreme map: " + c.extreme_map);
+    }
+    auto v = decls_.at(c.extreme_map)->extreme_kind == sql::AggKind::kMin
+                 ? em->Min(key)
+                 : em->Max(key);
+    row.push_back(v.has_value() ? *v
+                                : (c.type == Type::kDouble ? Value(0.0)
+                                                           : Value(int64_t{0})));
+  }
+  return std::optional<Row>(std::move(row));
+}
+
 Result<exec::QueryResult> Engine::View(const std::string& view_name) {
   const compiler::ViewSpec* view = program_.FindView(view_name);
   if (view == nullptr) {
@@ -976,64 +1031,83 @@ Result<exec::QueryResult> Engine::View(const std::string& view_name) {
   for (const compiler::ViewColumn& c : view->columns) {
     out.column_names.push_back(c.name);
   }
+  DBT_RETURN_IF_ERROR(AllGroups(*view, [&](const Row&, const Row* row) {
+    out.rows.emplace_back(*row, 1);
+  }));
+  return out;
+}
 
-  auto emit_row = [&](const Bindings& env, const Row& key) -> Status {
-    Row row;
-    row.reserve(view->columns.size());
-    for (const compiler::ViewColumn& c : view->columns) {
-      if (c.kind == compiler::ViewColumn::Kind::kTerm) {
-        DBT_ASSIGN_OR_RETURN(Value v,
-                             eval_.EvalTerm(c.value, env, /*store_init=*/true));
-        row.push_back(std::move(v));
-      } else {
-        const ExtremeMap* em = extreme_map(c.extreme_map);
-        if (em == nullptr) {
-          return Status::Internal("missing extreme map: " + c.extreme_map);
-        }
-        const compiler::MapDecl* decl = decls_.at(c.extreme_map);
-        auto v = decl->extreme_kind == sql::AggKind::kMin ? em->Min(key)
-                                                          : em->Max(key);
-        row.push_back(v.has_value()
-                          ? *v
-                          : (c.type == Type::kDouble ? Value(0.0)
-                                                     : Value(int64_t{0})));
-      }
-    }
-    out.rows.emplace_back(std::move(row), 1);
+Status Engine::AllGroups(const compiler::ViewSpec& view, const GroupFn& fn) {
+  auto render = [&](const Row& key) -> Status {
+    DBT_ASSIGN_OR_RETURN(std::optional<Row> row, RenderGroup(view, key));
+    if (row.has_value()) fn(key, &*row);
     return Status::OK();
   };
-
-  // HAVING: post-aggregation guard over the materialized group maps.
-  auto passes_having = [&](const Bindings& env) -> Result<bool> {
-    if (view->having == nullptr) return true;
-    DBT_ASSIGN_OR_RETURN(
-        Value v, eval_.EvalScalar(view->having, env, /*store_init=*/true));
-    return !(v.is_numeric() && v.IsZero());
-  };
-
-  if (view->key_vars.empty()) {
-    Bindings env;
-    DBT_ASSIGN_OR_RETURN(bool pass, passes_having(env));
-    if (pass) {
-      DBT_RETURN_IF_ERROR(emit_row(env, {}));
-    }
-    return out;
-  }
-  const ValueMap* domain = value_map(view->domain_map);
+  if (view.key_vars.empty()) return render({});
+  const ValueMap* domain = value_map(view.domain_map);
   if (domain == nullptr) {
-    return Status::Internal("missing domain map for view: " + view_name);
+    return Status::Internal("missing domain map for view: " + view.name);
   }
   for (const auto& [key, count] : domain->entries()) {
     if (count.is_numeric() && count.IsZero()) continue;
-    Bindings env;
-    for (size_t i = 0; i < view->key_vars.size(); ++i) {
-      env[view->key_vars[i]] = key[i];
-    }
-    DBT_ASSIGN_OR_RETURN(bool pass, passes_having(env));
-    if (!pass) continue;
-    DBT_RETURN_IF_ERROR(emit_row(env, key));
+    DBT_RETURN_IF_ERROR(render(key));
   }
-  return out;
+  return Status::OK();
+}
+
+bool Engine::TrackView(const std::string& name, bool on,
+                       std::vector<std::string>* columns) {
+  auto it = group_logs_.find(name);
+  if (it != group_logs_.end()) {
+    for (auto& [map, logs] : source_logs_) {
+      logs.erase(std::remove(logs.begin(), logs.end(), &it->second),
+                 logs.end());
+    }
+    group_logs_.erase(it);
+  }
+  const compiler::ViewSpec* view = program_.FindView(name);
+  std::optional<std::vector<std::string>> sources;
+  if (on && view != nullptr) sources = compiler::ViewDirtySources(program_, *view);
+  if (sources.has_value()) {
+    GroupLog* log = &group_logs_[name];
+    for (const std::string& m : *sources) source_logs_[m].push_back(log);
+    if (columns != nullptr) {
+      columns->clear();
+      for (const compiler::ViewColumn& c : view->columns) {
+        columns->push_back(c.name);
+      }
+    }
+  }
+  track_writes_ = !group_logs_.empty();
+  return sources.has_value();
+}
+
+void Engine::MarkUnknown(const std::string& name) {
+  auto it = source_logs_.find(name);
+  if (it == source_logs_.end()) return;
+  for (GroupLog* log : it->second) log->unknown = true;
+}
+
+bool Engine::ServedGroups(const std::string& name, bool all,
+                          const GroupFn& fn) {
+  auto it = group_logs_.find(name);
+  const compiler::ViewSpec* view = program_.FindView(name);
+  if (it == group_logs_.end() || view == nullptr) return false;
+  GroupLog& log = it->second;
+  std::vector<Row> keys = std::move(log.keys);
+  log.keys.clear();
+  const bool known = !log.unknown;
+  log.unknown = false;
+  if (all) return AllGroups(*view, fn).ok();
+  if (!known) return false;
+  std::unordered_set<Row, RowHash, RowEq> seen;
+  for (const Row& key : keys) {
+    if (!seen.insert(key).second) continue;
+    auto row = RenderGroup(*view, key);
+    if (!row.ok()) return false;
+    fn(key, row.value().has_value() ? &*row.value() : nullptr);
+  }
+  return true;
 }
 
 Result<exec::QueryResult> Engine::AdhocQuery(const std::string& sql) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -117,7 +118,37 @@ class Engine : public StreamEngine, public MapStore {
   /// Process one delta. Updates base tables, aggregate maps and views.
   Status DoOnEvent(const Event& event) override;
 
+  /// Incremental serving: a view whose reads all sit at its group key
+  /// (compiler::ViewDirtySources) logs the keys its sources are written at.
+  bool TrackView(const std::string& name, bool on,
+                 std::vector<std::string>* columns) override;
+  bool ServedGroups(const std::string& name, bool all,
+                    const GroupFn& fn) override;
+
  private:
+  /// Touched group keys of one tracked view; `unknown` after a source map
+  /// was cleared (re-evaluation) or the state reloaded.
+  struct GroupLog {
+    std::vector<Row> keys;
+    bool unknown = false;
+  };
+
+  /// One group's row of `view`, or nullopt when the group is gone (domain
+  /// count 0, HAVING false). Writes it makes (init-on-access) are not
+  /// logged as view changes.
+  Result<std::optional<Row>> RenderGroup(const compiler::ViewSpec& view,
+                                         const Row& key);
+  /// Every present group of `view` to `fn`, in domain order.
+  Status AllGroups(const compiler::ViewSpec& view, const GroupFn& fn);
+  /// Log a write at `key` of map `name` for the tracked views it feeds.
+  void Touched(const std::string& name, const Row& key) {
+    if (!track_writes_) return;
+    auto it = source_logs_.find(name);
+    if (it == source_logs_.end()) return;
+    for (GroupLog* log : it->second) log->keys.push_back(key);
+  }
+  void MarkUnknown(const std::string& name);
+
   /// Secondary slice index: prefix key -> full keys (possibly stale; values
   /// are re-read at use). Built lazily on the first slice access with a
   /// given position pattern and maintained on every map mutation.
@@ -209,6 +240,12 @@ class Engine : public StreamEngine, public MapStore {
   ProfileStats profile_;
   std::vector<std::tuple<ValueMap*, Row, Value>> pending_;  ///< scratch
   bool in_init_ = false;  ///< re-entrancy guard for init-on-access
+
+  /// Tracked views' logs by view name, and by source map: every map or
+  /// MIN/MAX map whose writes touch a tracked view's groups.
+  std::map<std::string, GroupLog> group_logs_;
+  std::unordered_map<std::string, std::vector<GroupLog*>> source_logs_;
+  bool track_writes_ = false;  ///< some view is tracked and none rendering
 
   /// True while shard workers are evaluating phase 1: lazy slice-index
   /// builds then serialize on slice_mu_ (the only mutation a parallel-safe

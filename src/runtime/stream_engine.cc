@@ -1,5 +1,7 @@
 #include "src/runtime/stream_engine.h"
 
+#include <algorithm>
+
 #include "src/codegen/dbtoaster_runtime.h"
 #include "src/common/str.h"
 
@@ -238,6 +240,10 @@ namespace {
 /// the diff itself for small views).
 constexpr size_t kParallelDiffCutoff = 512;
 
+/// A publish with no free buffer copies the snapshot; past this many
+/// recycled buffers a returning snapshot is freed instead.
+constexpr size_t kMaxFreeSnapshots = 4;
+
 /// Diff one logical shard's rows of `prev` vs `next` into `out`. Row order
 /// inside a shard follows the rendering order, so the result is
 /// deterministic for a given pair of renderings.
@@ -358,34 +364,88 @@ bool ViewSubscriber::lagged() const {
   return chan_->lagged;
 }
 
-Status StreamEngine::RenderViews(const std::vector<std::string>& names,
-                                 std::vector<ViewRendering>* out) {
-  out->reserve(names.size());
-  for (const std::string& name : names) {
-    DBT_ASSIGN_OR_RETURN(exec::QueryResult r, View(name));
-    ViewRendering rendering;
-    rendering.name = name;
-    rendering.result = std::move(r);
-    out->push_back(std::move(rendering));
-  }
-  return Status::OK();
+bool StreamEngine::TrackView(const std::string& name, bool on,
+                             std::vector<std::string>* columns) {
+  (void)name;
+  (void)on;
+  (void)columns;
+  return false;
+}
+
+bool StreamEngine::ServedGroups(const std::string& name, bool all,
+                                const GroupFn& fn) {
+  (void)name;
+  (void)all;
+  (void)fn;
+  return false;
 }
 
 Status StreamEngine::EnableServing(std::vector<std::string> views) {
-  if (views.empty()) views = ViewNames();
+  const std::vector<std::string> names = ViewNames();
+  if (views.empty()) views = names;
   if (views.empty()) {
     return Status::InvalidArgument("serving: engine exposes no views");
   }
-  auto data = std::make_shared<ViewSnapshot::Data>();
+  for (const std::string& v : views) {
+    if (std::find(names.begin(), names.end(), v) == names.end()) {
+      return Status::NotFound("serving: unknown view: " + v);
+    }
+  }
+  for (const ServedView& sv : served_) {
+    if (sv.tracked) TrackView(sv.name, false, nullptr);
+  }
+  served_.assign(views.size(), ServedView{});
+  auto data = std::make_unique<ViewSnapshot::Data>();
   data->epoch = epoch_;
-  DBT_RETURN_IF_ERROR(RenderViews(views, &data->views));
+  data->views.resize(views.size());
+  Status status = Status::OK();
+  for (size_t i = 0; i < views.size() && status.ok(); ++i) {
+    ServedView& sv = served_[i];
+    ViewRendering& rendering = data->views[i];
+    sv.name = rendering.name = views[i];
+    sv.tracked = TrackView(sv.name, true, &rendering.result.column_names);
+    status = RenderFull(&sv, &rendering.result);
+  }
+  if (!status.ok()) {
+    // A view failed to render: stop serving rather than publish a snapshot
+    // that lacks it (readers keep the last published one).
+    for (const ServedView& sv : served_) {
+      if (sv.tracked) TrackView(sv.name, false, nullptr);
+    }
+    served_.clear();
+    serving_enabled_.store(false, std::memory_order_release);
+  } else {
+    // Buffers and positions logged for the previous views mean nothing now.
+    epoch_log_.clear();
+    epoch_log_positions_ = 0;
+    pool_ = std::make_shared<SnapshotPool>();
+  }
+  std::shared_ptr<const ViewSnapshot::Data> published =
+      status.ok() ? Adopt(data.release()) : nullptr;
   {
     std::lock_guard<std::mutex> lock(serving_mu_);
-    serving_views_ = std::move(views);
-    published_ = std::move(data);
+    if (published != nullptr) published_ = std::move(published);
+    // Existing subscribers' bases lack the new layout (or the new views):
+    // their delta streams end here.
+    for (const auto& weak : subscribers_) {
+      if (auto chan = weak.lock()) {
+        std::lock_guard<std::mutex> chan_lock(chan->mu);
+        chan->queue.clear();
+        chan->lagged = true;
+      }
+    }
+    subscribers_.clear();
   }
-  serving_enabled_.store(true, std::memory_order_release);
-  return Status::OK();
+  if (status.ok()) serving_enabled_.store(true, std::memory_order_release);
+  return status;
+}
+
+Status StreamEngine::ResumeAt(uint64_t epoch) {
+  epoch_ = epoch;
+  if (!serving()) return Status::OK();
+  std::vector<std::string> views;
+  for (const ServedView& sv : served_) views.push_back(sv.name);
+  return EnableServing(std::move(views));
 }
 
 ViewSnapshot StreamEngine::Snapshot() const {
@@ -406,13 +466,194 @@ Result<ViewSubscriber> StreamEngine::Subscribe() {
   return sub;
 }
 
+std::shared_ptr<const ViewSnapshot::Data> StreamEngine::Adopt(
+    ViewSnapshot::Data* data) {
+  return std::shared_ptr<const ViewSnapshot::Data>(
+      data, [pool = pool_](const ViewSnapshot::Data* d) {
+        // Declared before the lock, so a buffer the pool does not keep is
+        // freed after the lock is released.
+        std::unique_ptr<ViewSnapshot::Data> owned(
+            const_cast<ViewSnapshot::Data*>(d));
+        std::lock_guard<std::mutex> lock(pool->mu);
+        if (pool->free.size() < kMaxFreeSnapshots) {
+          pool->free.push_back(std::move(owned));
+        }
+      });
+}
+
+Status StreamEngine::RenderFull(ServedView* sv, exec::QueryResult* view) {
+  std::vector<std::pair<Row, int64_t>>& rows = view->rows;
+  auto reset = [&] {
+    sv->seeded = false;
+    sv->pos.clear();
+    sv->key_of.clear();
+    rows.clear();
+  };
+  reset();
+  if (sv->tracked) {
+    // Every group, in the order the engine reports it: the new layout.
+    const bool ok = ServedGroups(sv->name, /*all=*/true,
+                                 [&](const Row& key, const Row* row) {
+      if (row == nullptr) return;
+      auto [it, inserted] = sv->pos.emplace(key, rows.size());
+      if (!inserted) return;
+      sv->key_of.push_back(&it->first);
+      rows.emplace_back(*row, 1);
+    });
+    if (ok) {
+      sv->seeded = true;
+      return Status::OK();
+    }
+    reset();
+  }
+  DBT_ASSIGN_OR_RETURN(*view, View(sv->name));
+  return Status::OK();
+}
+
+std::unique_ptr<ViewSnapshot::Data> StreamEngine::TakeBuffer(
+    const std::vector<bool>& incremental) {
+  std::unique_ptr<ViewSnapshot::Data> buf;
+  {
+    std::lock_guard<std::mutex> lock(pool_->mu);
+    // The most recent free buffer has the least to catch up on.
+    auto& free = pool_->free;
+    size_t best = free.size();
+    for (size_t i = 0; i < free.size(); ++i) {
+      if (best == free.size() || free[i]->epoch > free[best]->epoch) best = i;
+    }
+    if (best < free.size()) {
+      buf = std::move(free[best]);
+      free.erase(free.begin() + static_cast<long>(best));
+    }
+  }
+  const ViewSnapshot::Data& cur = *published_;
+  if (buf == nullptr) {
+    buf = std::make_unique<ViewSnapshot::Data>();
+    buf->views.resize(cur.views.size());
+    for (size_t i = 0; i < cur.views.size(); ++i) {
+      buf->views[i].name = cur.views[i].name;
+      buf->views[i].result.column_names = cur.views[i].result.column_names;
+      if (incremental[i]) buf->views[i].result.rows = cur.views[i].result.rows;
+    }
+    return buf;
+  }
+  if (buf->epoch == cur.epoch) return buf;
+  // Publishes of one pool are consecutive epochs, so the log covers the
+  // buffer when it reaches back to the epoch after the buffer's, and that
+  // epoch's entry sits at a known offset.
+  const bool logged =
+      !epoch_log_.empty() && epoch_log_.front().epoch <= buf->epoch + 1;
+  const size_t first = logged ? buf->epoch + 1 - epoch_log_.front().epoch : 0;
+  for (size_t i = 0; i < cur.views.size(); ++i) {
+    if (!incremental[i]) continue;
+    auto& dst = buf->views[i].result.rows;
+    const auto& src = cur.views[i].result.rows;
+    bool copy_all = !logged;
+    for (size_t e = first; !copy_all && e < epoch_log_.size(); ++e) {
+      copy_all = epoch_log_[e].full[i];
+    }
+    if (copy_all) {
+      dst = src;
+      continue;
+    }
+    // A position no logged epoch changed holds the same row in both; a
+    // position past the buffer's old end was appended, so it is logged.
+    dst.resize(src.size());
+    for (size_t e = first; e < epoch_log_.size(); ++e) {
+      for (uint32_t p : epoch_log_[e].changed[i]) {
+        if (p < src.size()) dst[p] = src[p];
+      }
+    }
+  }
+  return buf;
+}
+
+void StreamEngine::ApplyGroup(ServedView* sv, const Row& key, const Row* row,
+                              exec::QueryResult* view,
+                              std::vector<uint32_t>* changed,
+                              ViewDelta* delta) {
+  std::vector<std::pair<Row, int64_t>>& rows = view->rows;
+  auto it = sv->pos.find(key);
+  if (it == sv->pos.end()) {
+    if (row == nullptr) return;
+    const auto p = static_cast<uint32_t>(rows.size());
+    rows.emplace_back(*row, 1);
+    if (delta != nullptr) delta->added.emplace_back(*row, 1);
+    sv->key_of.push_back(&sv->pos.emplace(key, p).first->first);
+    changed->push_back(p);
+    return;
+  }
+  const uint32_t p = it->second;
+  if (row != nullptr) {
+    if (*row == rows[p].first) return;  // unchanged
+    if (delta != nullptr) {
+      delta->removed.emplace_back(rows[p].first, 1);
+      delta->added.emplace_back(*row, 1);
+    }
+    rows[p].first = *row;
+    changed->push_back(p);
+    return;
+  }
+  // The group is gone: the last row takes its slot.
+  if (delta != nullptr) delta->removed.emplace_back(std::move(rows[p].first), 1);
+  const auto last = static_cast<uint32_t>(rows.size() - 1);
+  if (p != last) {
+    rows[p] = std::move(rows[last]);
+    sv->key_of[p] = sv->key_of[last];
+    sv->pos.find(*sv->key_of[p])->second = p;
+    changed->push_back(p);
+  }
+  rows.pop_back();
+  sv->key_of.pop_back();
+  sv->pos.erase(it);
+}
+
 Status StreamEngine::PublishSnapshot() {
-  // Render outside any lock: the writer thread has exclusive access to the
-  // live state, and readers keep using the previously published snapshot
-  // until the swap below.
-  auto data = std::make_shared<ViewSnapshot::Data>();
-  data->epoch = epoch_;
-  DBT_RETURN_IF_ERROR(RenderViews(serving_views_, &data->views));
+  // Groups are rendered outside any lock: the writer thread has exclusive
+  // access to the live state, and readers keep using the previously
+  // published snapshot until the swap below. Deltas are collected only when
+  // someone subscribed; a subscriber arriving before the swap is served by
+  // a diff instead.
+  const size_t n = served_.size();
+  bool collect = false;
+  {
+    std::lock_guard<std::mutex> lock(serving_mu_);
+    collect = !subscribers_.empty();
+  }
+  std::vector<bool> incremental(n);
+  for (size_t i = 0; i < n; ++i) {
+    incremental[i] = served_[i].tracked && served_[i].seeded;
+  }
+  std::unique_ptr<ViewSnapshot::Data> buf = TakeBuffer(incremental);
+  buf->epoch = epoch_;
+  EpochLog log;
+  log.epoch = epoch_;
+  log.changed.resize(n);
+  log.full.assign(n, false);
+  std::vector<ViewDelta> deltas(n);
+  size_t rows_served = 0;
+  for (size_t i = 0; i < n; ++i) {
+    ServedView& sv = served_[i];
+    exec::QueryResult& view = buf->views[i].result;
+    ViewDelta* delta = collect ? &deltas[i] : nullptr;
+    if (!incremental[i] ||
+        !ServedGroups(sv.name, /*all=*/false,
+                      [&](const Row& key, const Row* row) {
+                        ApplyGroup(&sv, key, row, &view, &log.changed[i],
+                                   delta);
+                      })) {
+      log.full[i] = true;
+      Status st = RenderFull(&sv, &view);
+      if (!st.ok()) {
+        // Layouts may now describe rows that were never published: the
+        // next publish re-seeds every view.
+        for (ServedView& other : served_) other.seeded = false;
+        return st;
+      }
+    }
+    rows_served += view.rows.size();
+  }
+  std::shared_ptr<const ViewSnapshot::Data> data = Adopt(buf.release());
 
   // Short publish section: swap the snapshot in and collect the live
   // subscriber channels as of the swap (a subscriber registered before it
@@ -436,17 +677,40 @@ Status StreamEngine::PublishSnapshot() {
     }
     subscribers_.resize(kept);
   }
-  if (live.empty()) return Status::OK();
 
-  // Delta computation happens off the publish lock; readers are already on
-  // the new snapshot.
-  auto delta = std::make_shared<EpochDelta>();
-  delta->epoch = data->epoch;
-  delta->views.reserve(data->views.size());
-  for (size_t i = 0; i < data->views.size(); ++i) {
-    delta->views.push_back(DiffViewRendering(
-        data->views[i].name, prev->views[i].result, data->views[i].result));
+  std::shared_ptr<EpochDelta> delta;
+  if (!live.empty()) {
+    // Fully rendered views are diffed off the publish lock; readers are
+    // already on the new snapshot.
+    delta = std::make_shared<EpochDelta>();
+    delta->epoch = data->epoch;
+    delta->views.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (log.full[i] || !collect) {
+        delta->views.push_back(DiffViewRendering(
+            served_[i].name, prev->views[i].result, data->views[i].result));
+      } else {
+        deltas[i].view = served_[i].name;
+        delta->views.push_back(std::move(deltas[i]));
+      }
+    }
   }
+
+  // The log holds about one view's worth of positions (an epoch counts at
+  // least one): a buffer older than that is cheaper to copy than to catch
+  // up.
+  log.positions = 1;
+  for (size_t i = 0; i < n; ++i) {
+    log.positions += log.full[i] ? data->views[i].result.rows.size()
+                                 : log.changed[i].size();
+  }
+  epoch_log_positions_ += log.positions;
+  epoch_log_.push_back(std::move(log));
+  while (epoch_log_.size() > 1 && epoch_log_positions_ > rows_served + 64) {
+    epoch_log_positions_ -= epoch_log_.front().positions;
+    epoch_log_.pop_front();
+  }
+
   for (auto& chan : live) {
     std::lock_guard<std::mutex> lock(chan->mu);
     if (chan->lagged) continue;
@@ -616,6 +880,13 @@ Value FromDbtValue(const dbt::Value& v) {
   return Value(std::get<int64_t>(v));
 }
 
+Row FromDbtRow(const std::vector<dbt::Value>& values) {
+  Row r;
+  r.reserve(values.size());
+  for (const dbt::Value& v : values) r.push_back(FromDbtValue(v));
+  return r;
+}
+
 }  // namespace
 
 CompiledProgramEngine::CompiledProgramEngine(dbt::StreamProgram* program,
@@ -668,17 +939,43 @@ Result<exec::QueryResult> CompiledProgramEngine::View(
   if (!known) return Status::NotFound("unknown view: " + name);
   exec::QueryResult out;
   out.column_names = program_->view_column_names(name);
-  for (std::vector<dbt::Value>& row : program_->view_rows(name)) {
-    Row r;
-    r.reserve(row.size());
-    for (const dbt::Value& v : row) r.push_back(FromDbtValue(v));
-    out.rows.emplace_back(std::move(r), 1);
+  for (const std::vector<dbt::Value>& row : program_->view_rows(name)) {
+    out.rows.emplace_back(FromDbtRow(row), 1);
   }
   return out;
 }
 
 std::vector<std::string> CompiledProgramEngine::ViewNames() const {
   return program_->view_names();
+}
+
+bool CompiledProgramEngine::TrackView(const std::string& name, bool on,
+                                      std::vector<std::string>* columns) {
+  if (!program_->track_view(name, on)) return false;
+  if (columns != nullptr) *columns = program_->view_column_names(name);
+  return true;
+}
+
+bool CompiledProgramEngine::ServedGroups(const std::string& name, bool all,
+                                         const GroupFn& fn) {
+  struct Sink : dbt::GroupSink {
+    const GroupFn* fn;
+    Row key, row;  // reused across groups
+    static void Assign(const std::vector<dbt::Value>& values, Row* out) {
+      out->resize(values.size());
+      for (size_t i = 0; i < values.size(); ++i) {
+        (*out)[i] = FromDbtValue(values[i]);
+      }
+    }
+    void group(const std::vector<dbt::Value>& k,
+               const std::vector<dbt::Value>* r) override {
+      Assign(k, &key);
+      if (r != nullptr) Assign(*r, &row);
+      (*fn)(key, r != nullptr ? &row : nullptr);
+    }
+  } sink;
+  sink.fn = &fn;
+  return program_->view_groups(name, all, sink);
 }
 
 }  // namespace dbtoaster::runtime

@@ -28,6 +28,7 @@
 #include <array>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -154,16 +155,25 @@ class IngestValidator {
 // ---- concurrent view serving --------------------------------------------
 //
 // The serving tier decouples view reads from the single-threaded ingest
-// path: after every successful ingest call the writer renders each
-// registered view into an immutable, epoch-stamped snapshot
-// (copy-on-publish) and swaps it in under a short mutex section. Readers on
-// any thread grab the current ViewSnapshot handle — a shared_ptr copy —
-// and read it without ever touching live engine state, so they can never
-// observe a half-applied batch and never block the writer beyond the
-// pointer swap. Subscribers receive the per-epoch *deltas* between
-// consecutive published renderings instead (computed by a per-shard diff,
-// the same fixed logical shards the parallel ApplyBatch uses), which
-// replay to exactly the published view at every epoch.
+// path: after every successful ingest call the writer publishes an
+// immutable, epoch-stamped snapshot of every registered view and swaps it
+// in under a short mutex section. Readers on any thread grab the current
+// ViewSnapshot handle — a shared_ptr copy — and read it without ever
+// touching live engine state, so they can never observe a half-applied
+// batch and never block the writer beyond the pointer swap.
+//
+// A publish costs O(groups the batch touched), not O(view). Engines that
+// can tell which groups their writes touched (toaster-i and toaster-c, for
+// every view whose reads sit at its group key, compiler::ViewDirtySources)
+// report just those groups with their current rows; the writer keeps a
+// group-key -> row-position layout per view and applies each change to a
+// recycled snapshot buffer (a superseded snapshot no reader holds any
+// more, brought up to date from a short log of the row positions each
+// epoch changed). Subscribers receive the per-epoch *deltas* — emitted
+// directly from those changes — which replay to exactly the published view
+// at every epoch. Views without that knowledge (reeval, ivm1, views reading
+// a map at another key, and any view after a map clear or a state load)
+// are rendered in full and diffed per shard against the previous rendering.
 
 /// One registered view's materialized content inside a snapshot.
 struct ViewRendering {
@@ -202,9 +212,17 @@ ViewDelta DiffViewRendering(const std::string& name,
 void ApplyViewDelta(const ViewDelta& delta,
                     std::unordered_map<Row, int64_t, RowHash, RowEq>* rows);
 
+/// Receives one group of a served view as an engine reports it (see
+/// StreamEngine::ServedGroups): the group key and its current row, or
+/// nullptr when the group is gone. Both are valid only during the call.
+using GroupFn = std::function<void(const Row& key, const Row* row)>;
+
 /// An immutable, epoch-stamped rendering of every served view. Cheap to
 /// copy (shared_ptr); safe to read from any thread, concurrently with the
-/// writer, for as long as the handle lives.
+/// writer, for as long as the handle lives. Rows of an incrementally served
+/// view are in publish order (groups append as they appear; a vanished
+/// group's slot takes the last row), not View() order; the order is the
+/// same at every thread count.
 class ViewSnapshot {
  public:
   struct Data {
@@ -312,8 +330,11 @@ class StreamEngine {
   /// Start publishing epoch-stamped snapshots of `views` (all ViewNames()
   /// when empty) after every ingest call, beginning with an immediate
   /// publish at the current epoch. Call from the writer thread before
-  /// concurrent readers attach; each subsequent ApplyBatch/OnEvent pays
-  /// one rendering pass per registered view.
+  /// concurrent readers attach. Each subsequent ApplyBatch/OnEvent re-renders
+  /// only the groups it touched in incrementally served views and renders
+  /// the other views in full (see the section comment above). Calling it
+  /// again replaces the served views; existing subscribers are then marked
+  /// lagged (their base lacks the new views).
   Status EnableServing(std::vector<std::string> views = {});
   bool serving() const {
     return serving_enabled_.load(std::memory_order_acquire);
@@ -351,7 +372,12 @@ class StreamEngine {
   /// events). Monotonic; the batch-log recovery protocol uses it as the
   /// exactly-once replay cursor.
   uint64_t epoch() const { return epoch_; }
-  void set_epoch(uint64_t e) { epoch_ = e; }
+
+  /// Adopt `epoch` after LoadState replaced the engine's state (checkpoint
+  /// restore). A serving engine republishes every served view in full at
+  /// that epoch, and existing subscribers are marked lagged: their delta
+  /// stream cannot bridge the jump.
+  Status ResumeAt(uint64_t epoch);
 
   const IngestValidator& ingest_validator() const { return validator_; }
 
@@ -372,28 +398,87 @@ class StreamEngine {
     validator_.Register(relation, std::move(lanes));
   }
 
- private:
-  /// Render each named view through View() for a snapshot publish (writer
-  /// thread, engine quiescent).
-  Status RenderViews(const std::vector<std::string>& names,
-                     std::vector<ViewRendering>* out);
+  /// Incremental-serving hooks (writer thread). TrackView starts (on) or
+  /// stops recording which groups of view `name` the engine's writes
+  /// touch, and on success stores the view's column names in `columns`
+  /// (when non-null); false when the engine cannot tell, and the view is
+  /// rendered in full every epoch. ServedGroups passes a tracked view's
+  /// groups touched since the last call (all = false) or every present
+  /// group (all = true), with their current rows, to `fn` and forgets the
+  /// touched set; false, before any call to `fn`, when that set is unknown
+  /// (a map was cleared or the state reloaded). Writes made while rendering
+  /// must not be recorded.
+  virtual bool TrackView(const std::string& name, bool on,
+                         std::vector<std::string>* columns);
+  virtual bool ServedGroups(const std::string& name, bool all,
+                            const GroupFn& fn);
 
-  /// Render, diff against the previous rendering, and publish the new
-  /// snapshot + per-epoch delta (writer thread, after a successful ingest).
+ private:
+  /// Writer-side layout of one served view in the published snapshot.
+  struct ServedView {
+    std::string name;
+    bool tracked = false;  ///< TrackView accepted the view
+    bool seeded = false;   ///< pos/key_of describe the published rows
+    std::unordered_map<Row, uint32_t, RowHash, RowEq> pos;  ///< key -> row
+    std::vector<const Row*> key_of;  ///< row -> key (a node key of pos)
+  };
+
+  /// Row positions each published epoch changed, per view (`full`: the view
+  /// was replaced wholesale). A recycled snapshot buffer catches up by
+  /// copying those positions from the latest snapshot.
+  struct EpochLog {
+    uint64_t epoch = 0;
+    std::vector<std::vector<uint32_t>> changed;
+    std::vector<bool> full;
+    size_t positions = 0;  ///< 1 + changed positions (a full view: rows)
+  };
+
+  /// Superseded snapshot buffers, returned by the published shared_ptr's
+  /// deleter once no reader holds them (at most kMaxFreeSnapshots; the rest
+  /// are freed). Every deleter shares the pool, so it outlives the engine
+  /// as long as a snapshot does. The engine swaps in a fresh pool whenever
+  /// old buffers stop being comparable (new views, a state jump).
+  struct SnapshotPool {
+    std::mutex mu;
+    std::vector<std::unique_ptr<ViewSnapshot::Data>> free;
+  };
+
+  /// Wrap a buffer for publishing; its deleter returns it to the pool.
+  std::shared_ptr<const ViewSnapshot::Data> Adopt(ViewSnapshot::Data* data);
+  /// Render `sv` in full into `view`: every group of a tracked view
+  /// (re-seeding its layout), else View() (column names included).
+  Status RenderFull(ServedView* sv, exec::QueryResult* view);
+  /// A writable buffer at the published epoch's content for every view in
+  /// `incremental` (the others are overwritten wholesale).
+  std::unique_ptr<ViewSnapshot::Data> TakeBuffer(
+      const std::vector<bool>& incremental);
+  /// Apply one reported group to `view` and the layout; logs the changed
+  /// position and, when `delta` is set, the removed and added rows.
+  void ApplyGroup(ServedView* sv, const Row& key, const Row* row,
+                  exec::QueryResult* view, std::vector<uint32_t>* changed,
+                  ViewDelta* delta);
+
+  /// Publish the current epoch: apply each served view's change to a
+  /// snapshot buffer, swap it in and fan the per-epoch delta out (writer
+  /// thread, after a successful ingest).
   Status PublishSnapshot();
 
   IngestValidator validator_;
   uint64_t epoch_ = 0;
 
-  // Serving state. Only the writer thread mutates published_ (publish) and
-  // serving_views_ (EnableServing); serving_mu_ orders those writes against
-  // reader Snapshot()/Subscribe() calls. Subscriber channels are held
-  // weakly so dropping a ViewSubscriber handle unsubscribes it.
+  // Serving state. Only the writer thread mutates published_ (publish),
+  // the layouts, the epoch log and served_ (EnableServing); serving_mu_
+  // orders published_ and subscribers_ against reader Snapshot()/Subscribe()
+  // calls. Subscriber channels are held weakly so dropping a ViewSubscriber
+  // handle unsubscribes it.
   std::atomic<bool> serving_enabled_{false};
   mutable std::mutex serving_mu_;
   std::shared_ptr<const ViewSnapshot::Data> published_;
   std::vector<std::weak_ptr<ViewSubscriber::Channel>> subscribers_;
-  std::vector<std::string> serving_views_;
+  std::vector<ServedView> served_;
+  std::deque<EpochLog> epoch_log_;
+  size_t epoch_log_positions_ = 0;
+  std::shared_ptr<SnapshotPool> pool_ = std::make_shared<SnapshotPool>();
   size_t max_queued_deltas_ = 4096;
 };
 
@@ -454,6 +539,10 @@ class CompiledProgramEngine final : public StreamEngine {
 
  protected:
   Status DoApplyBatch(EventBatch&& batch) override;
+  bool TrackView(const std::string& name, bool on,
+                 std::vector<std::string>* columns) override;
+  bool ServedGroups(const std::string& name, bool all,
+                    const GroupFn& fn) override;
 
  private:
   dbt::StreamProgram* program_;

@@ -31,6 +31,9 @@
 #      dispatcher (on_event()) and no process-wide selection switch
 #      (SelectionEnabled); batches reach the typed handlers only through
 #      on_batch and dbt::Lane.
+#   9. one per-group renderer per view — every view V has exactly one
+#      row_V(group key, &row), and view_V() is built on it, so a full render
+#      and the incremental publish of touched groups share one code path.
 #
 # Usage: tools/lint_gen.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -39,7 +42,7 @@ BUILD_DIR="${1:-build}"
 GEN_DIR="$BUILD_DIR/generated/bench/gen"
 
 QUERIES="vwap sobi_bids mm best_bid q41 revenue q3s q6s q12s q13s"
-QUERIES="$QUERIES selzero selhalf selall"
+QUERIES="$QUERIES selzero selhalf selall micro"
 
 fail=0
 checked=0
@@ -117,6 +120,25 @@ for q in $QUERIES; do
     if ! grep -qE "void on_${rel}\(.*\) \{ vec_${rel}\([^;]*nullptr, 1, sign\); \}$" \
          "$hpp"; then
       echo "lint_gen: FAIL — $q.hpp has vec_${rel} but on_${rel} is not a one-line forwarder to it" >&2
+      fail=1
+    fi
+  done
+
+  # One per-group renderer per view, and view_V() renders through it.
+  views=$(grep -A1 'view_names() const override' "$hpp" | \
+          grep -oE '"[A-Za-z0-9_]+"' | tr -d '"')
+  if [ -z "$views" ]; then
+    echo "lint_gen: FAIL — $q.hpp declares no views" >&2
+    fail=1
+  fi
+  for v in $views; do
+    if [ "$(grep -c "bool row_${v}(" "$hpp")" -ne 1 ]; then
+      echo "lint_gen: FAIL — $q.hpp needs exactly one per-group renderer row_${v}()" >&2
+      fail=1
+    fi
+    if ! grep -qE "view_${v}\(\) \{ return dbt::Render\(this, &[A-Za-z0-9_]+::row_${v}," \
+         "$hpp"; then
+      echo "lint_gen: FAIL — $q.hpp view_${v}() does not render through row_${v}()" >&2
       fail=1
     fi
   done

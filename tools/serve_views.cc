@@ -15,8 +15,15 @@
 // publish section itself. Exit status is non-zero if any reader observes a
 // non-monotonic epoch or the writer fails.
 //
+// --groups=G1,G2,... switches to the view-size axis: for each G the engine
+// is preloaded with one bid and one ask per broker 0..G-1 (so the view has
+// G rows), serving is enabled, and the same stream over brokers 0..G-1 runs
+// with serving off and with serving on (no readers, no subscriber). The
+// difference is the publish cost per epoch, which follows the groups a
+// batch touched rather than G when the publish is incremental.
+//
 //   serve_views [--engine=toaster-i|toaster-c] [--batches=N] [--rows=N]
-//               [--readers=0,1,2,8] [--seed=S]
+//               [--readers=0,1,2,8] [--groups=10,1000,100000] [--seed=S]
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -76,9 +83,10 @@ bool LoadScript(const std::string& name, ScriptCase* out) {
 }
 
 /// Seeded mixed insert/delete stream; all-int mm columns, bounded key space
-/// so views stay small while churn stays high.
+/// (brokers 0..brokers-1, other columns 0..63) so churn stays high.
 std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
-                                   size_t num_batches, size_t rows_per_batch) {
+                                   size_t num_batches, size_t rows_per_batch,
+                                   int64_t brokers) {
   Rng rng(seed);
   std::map<std::string, std::vector<Row>> live;
   std::vector<std::string> rels;
@@ -97,7 +105,8 @@ std::vector<EventBatch> MakeStream(const Catalog& catalog, uint64_t seed,
         const Schema* schema = catalog.FindRelation(rel);
         Row tuple;
         for (size_t c = 0; c < schema->num_columns(); ++c) {
-          tuple.push_back(Value(rng.Range(0, 63)));
+          const int64_t hi = c == 1 ? brokers - 1 : 63;
+          tuple.emplace_back(rng.Range(0, hi));
         }
         rows.push_back(tuple);
         batches[b].AddInsert(rel, tuple);
@@ -145,13 +154,27 @@ struct RunResult {
   uint64_t delta_rows = 0;
 };
 
+/// One bid and one ask per broker 0..groups-1 (IDs past the stream's), so
+/// mm's view has `groups` rows.
+EventBatch Preload(size_t groups) {
+  EventBatch batch;
+  for (size_t g = 0; g < groups; ++g) {
+    const Row row = {Value(int64_t{1000}), Value(static_cast<int64_t>(g)),
+                     Value(int64_t{1}), Value(int64_t{1})};
+    batch.AddInsert("BIDS", row);
+    batch.AddInsert("ASKS", row);
+  }
+  return batch;
+}
+
 RunResult RunConfig(const std::string& kind, const ScriptCase& sc,
                     const std::vector<EventBatch>& stream, size_t num_readers,
-                    bool serve) {
+                    bool serve, bool subscribe = true, size_t groups = 0) {
   RunResult out;
   EngineInstance inst;
   if (!MakeEngine(kind, sc, &inst)) return out;
   StreamEngine* engine = inst.engine.get();
+  if (groups > 0 && !engine->ApplyBatch(Preload(groups)).ok()) return out;
   if (serve && !engine->EnableServing().ok()) return out;
 
   std::atomic<bool> done{false};
@@ -179,7 +202,7 @@ RunResult RunConfig(const std::string& kind, const ScriptCase& sc,
   ViewSubscriber sub;
   std::thread sub_thread;
   std::atomic<uint64_t> deltas{0}, delta_rows{0};
-  if (serve) {
+  if (serve && subscribe) {
     auto s = engine->Subscribe();
     if (!s.ok()) {
       done.store(true);
@@ -233,6 +256,16 @@ int Run(int argc, char** argv) {
   size_t rows = 128;
   uint64_t seed = 1;
   std::vector<size_t> reader_counts = {0, 1, 2, 8};
+  std::vector<size_t> group_counts;
+  auto parse_list = [](const std::string& text) {
+    std::vector<size_t> out;
+    std::stringstream ss(text);
+    std::string tok;
+    while (std::getline(ss, tok, ',')) {
+      out.push_back(static_cast<size_t>(std::strtoull(tok.c_str(), nullptr, 10)));
+    }
+    return out;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--engine=", 0) == 0) {
@@ -245,25 +278,48 @@ int Run(int argc, char** argv) {
     } else if (arg.rfind("--seed=", 0) == 0) {
       seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (arg.rfind("--readers=", 0) == 0) {
-      reader_counts.clear();
-      std::stringstream ss(arg.substr(10));
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        reader_counts.push_back(
-            static_cast<size_t>(std::strtoull(tok.c_str(), nullptr, 10)));
-      }
+      reader_counts = parse_list(arg.substr(10));
+    } else if (arg.rfind("--groups=", 0) == 0) {
+      group_counts = parse_list(arg.substr(9));
     } else {
       std::fprintf(stderr,
                    "usage: serve_views [--engine=toaster-i|toaster-c] "
-                   "[--batches=N] [--rows=N] [--readers=0,1,2,8] [--seed=S]\n");
+                   "[--batches=N] [--rows=N] [--readers=0,1,2,8] "
+                   "[--groups=10,1000,100000] [--seed=S]\n");
       return 2;
     }
   }
 
   ScriptCase sc;
   if (!LoadScript("mm", &sc)) return 2;
-  const std::vector<EventBatch> stream = MakeStream(sc.catalog, seed, batches,
-                                                    rows);
+
+  if (!group_counts.empty()) {
+    std::printf("serve_views: engine=%s query=mm batches=%zu rows/batch=%zu "
+                "(view-size axis, no readers)\n",
+                kind.c_str(), batches, rows);
+    std::printf("%-10s %16s %16s %18s\n", "groups", "off us/batch",
+                "serving us/batch", "publish us/epoch");
+    bool ok = true;
+    for (size_t g : group_counts) {
+      if (g == 0) continue;
+      const std::vector<EventBatch> stream = MakeStream(
+          sc.catalog, seed, batches, rows, static_cast<int64_t>(g));
+      const RunResult off = RunConfig(kind, sc, stream, 0, /*serve=*/false,
+                                      /*subscribe=*/false, g);
+      const RunResult on = RunConfig(kind, sc, stream, 0, /*serve=*/true,
+                                     /*subscribe=*/false, g);
+      ok = ok && off.ok && on.ok;
+      const double off_us = 1e6 * off.writer_secs / static_cast<double>(batches);
+      const double on_us = 1e6 * on.writer_secs / static_cast<double>(batches);
+      std::printf("%-10zu %16.1f %16.1f %18.1f\n", g, off_us, on_us,
+                  on_us - off_us);
+    }
+    std::printf("-> %s\n", ok ? "OK" : "FAILED");
+    return ok ? 0 : 1;
+  }
+
+  const std::vector<EventBatch> stream =
+      MakeStream(sc.catalog, seed, batches, rows, /*brokers=*/64);
 
   std::printf("serve_views: engine=%s query=mm batches=%zu rows/batch=%zu\n",
               kind.c_str(), batches, rows);
